@@ -167,16 +167,12 @@ ArtifactCache::store(std::string_view kind, std::uint64_t key,
 }
 
 void
-ArtifactCache::evict(std::string_view kind, std::uint64_t key,
-                     std::string_view reason)
+ArtifactCache::countCorrupt(const std::string& path,
+                            std::string_view reason) const
 {
-    const std::string path = entryPath(kind, key);
-    std::error_code ec;
-    fs::remove(path, ec);
     obs::defaultRegistry().counter("cache.evictions").add(1);
-    if (!reason.empty())
-        warn("artifact cache: evicted corrupt entry " + path + " (" +
-             std::string(reason) + ")");
+    warn("artifact cache: corrupt entry " + path + " (" +
+         std::string(reason) + "); recomputing");
 }
 
 std::vector<KindStats>
@@ -224,8 +220,7 @@ ArtifactCache::clear()
         std::error_code inner;
         for (const auto& entry :
              fs::directory_iterator(kindDir.path(), inner)) {
-            if (!entry.is_regular_file() ||
-                entry.path().extension() != ".bin")
+            if (!entry.is_regular_file())
                 continue;
             std::error_code rm;
             if (fs::remove(entry.path(), rm))

@@ -9,9 +9,14 @@
  * producing configuration, and a code-version salt), so any config or
  * code-semantics change invalidates cleanly by landing on a new key;
  * stale entries are never read, only orphaned. Values are the compact
- * binary blobs of cache/binary_io.h; a corrupt, truncated or
- * version-mismatched entry is detected by the reader, evicted, and the
- * caller recomputes and rewrites — never a crash, never a stale hit.
+ * binary blobs of cache/binary_io.h. getOrCompute() is the one way
+ * the pipeline reaches the store: a hit returns the parsed entry, a
+ * miss computes, stores and returns the computed value. A corrupt,
+ * truncated or version-mismatched entry is detected by the reader and
+ * treated as a miss; the file is never unlinked, so a healthy entry a
+ * peer renames into place meanwhile survives, and the recompute's own
+ * atomic store supersedes the bad one — never a crash, never a stale
+ * hit.
  *
  * Layout: `<dir>/<kind>/<16-hex-digest>.bin`, one file per artifact.
  * The directory defaults to $MAPP_CACHE_DIR, else $XDG_CACHE_HOME/mapp,
@@ -20,8 +25,9 @@
  * processes and threads never observe partial entries.
  *
  * Observability: cache.{hits,misses,bytes_read,bytes_written,evictions}
- * counters in the default metrics registry, and `cache-load` /
- * `cache-store` phases on the pipeline profiler.
+ * counters in the default metrics registry (evictions counts corrupt
+ * entries found), and `cache-load` / `cache-store` phases on the
+ * pipeline profiler.
  */
 
 #ifndef MAPP_CACHE_ARTIFACT_CACHE_H
@@ -101,9 +107,9 @@ class ArtifactCache
      * the binary reader's InputError) on any malformed input. Returns
      * the parsed artifact on a clean hit; nullopt when the cache is
      * disabled, the entry is absent (cache.misses), or the entry fails
-     * to parse — in which case the corrupt file is evicted
-     * (cache.evictions) so the caller's recompute-and-store leaves the
-     * cache healthy.
+     * to parse. A corrupt entry is counted in cache.evictions and
+     * logged, but left on disk: the caller's recompute-and-store
+     * replaces it atomically.
      */
     template <typename Parser>
     auto loadAndParse(std::string_view kind, std::uint64_t key,
@@ -119,11 +125,42 @@ class ArtifactCache
             countHit(blob->size());
             return value;
         } catch (const FatalError& e) {
-            evict(kind, key, e.what());
+            countCorrupt(path, e.what());
             return std::nullopt;
         }
     }
 
+    /**
+     * The artifact under (kind, key): on a hit, `parse(blob, path)`;
+     * on a miss (absent or corrupt entry), `compute()`, stored as
+     * `serialize(value)` and returned as computed, without a reload.
+     * While the cache is disabled it only calls `compute()`.
+     */
+    template <typename Parser, typename Compute, typename Serializer>
+    auto getOrCompute(std::string_view kind, std::uint64_t key,
+                      Parser&& parse, Compute&& compute,
+                      Serializer&& serialize) -> decltype(compute())
+    {
+        if (!enabled())
+            return compute();
+        if (auto hit = loadAndParse(kind, key, parse))
+            return std::move(*hit);
+        auto value = compute();
+        store(kind, key, serialize(value));
+        return value;
+    }
+
+    /** Per-kind entry counts and bytes on disk (kind-name sorted). */
+    std::vector<KindStats> scan() const;
+
+    /**
+     * Remove every file under each kind directory, including temp
+     * files left by a store killed before its rename; @return files
+     * removed.
+     */
+    std::size_t clear();
+
+  private:
     /**
      * Raw entry read; fills @p path with the entry location. Counts a
      * miss when enabled and absent. No hit accounting (loadAndParse
@@ -133,18 +170,11 @@ class ArtifactCache
                                          std::uint64_t key,
                                          std::string& path) const;
 
-    /** Remove one entry, counting cache.evictions. */
-    void evict(std::string_view kind, std::uint64_t key,
-               std::string_view reason = {});
-
-    /** Per-kind entry counts and bytes on disk (kind-name sorted). */
-    std::vector<KindStats> scan() const;
-
-    /** Remove every entry; @return entries removed. */
-    std::size_t clear();
-
-  private:
     void countHit(std::size_t bytes) const;
+
+    /** Count and log an entry that failed to parse. */
+    void countCorrupt(const std::string& path,
+                      std::string_view reason) const;
 
     mutable std::mutex mutex_;  ///< guards dir_/enabled_ only
     std::string dir_;

@@ -85,13 +85,14 @@ isa::WorkloadTrace profileWorkload(BenchmarkId id, int batch_size,
                                    std::uint64_t seed = 0);
 
 /**
- * Memoized profileWorkload: one profile per (benchmark, batch size) per
- * process, backed by the persistent artifact cache so later processes
- * load the binary trace instead of re-profiling (corrupt entries fall
- * back to re-profiling transparently). In-memory hits and misses are
- * counted under `registry.trace_cache_{hits,misses}`; the disk layer
- * reports under `cache.*`. The returned reference stays valid for the
- * process lifetime.
+ * Memoized profileWorkload: a process-wide cache::Memo profiles each
+ * (benchmark, batch size) at most once, even when pool workers race on
+ * it, and counts under `registry.trace_cache_{hits,misses}`. Its
+ * compute goes through the artifact cache's getOrCompute, so later
+ * processes load the binary trace instead of re-profiling (a corrupt
+ * entry is re-profiled and rewritten); that layer reports under
+ * `cache.*`. The returned reference stays valid for the process
+ * lifetime.
  */
 const isa::WorkloadTrace& cachedTrace(BenchmarkId id, int batch_size);
 

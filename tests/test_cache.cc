@@ -2,10 +2,11 @@
  * @file
  * The persistent artifact cache and its binary serialization formats:
  * frame validation (magic/version/checksum/truncation), bit-identical
- * round-trips for traces, datasets and models, corrupt-entry fallback
- * (evict + recompute, never a crash or a stale hit), key invalidation
- * on config/salt changes, cross-collector warm loads, and concurrent
- * multi-thread access with corruption injected (run under TSan via
+ * round-trips for traces, datasets and models, getOrCompute and its
+ * corrupt-entry fallback (recompute + atomic replace, never a crash or
+ * a stale hit), the compute-once Memo, key invalidation on config/salt
+ * changes, cross-collector warm loads, and concurrent multi-thread
+ * access with corruption injected (run under TSan via
  * `ctest -L parallel` and ASan via `ctest -L robustness`).
  */
 
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "cache/artifact_cache.h"
 #include "cache/binary_io.h"
 #include "cache/hash.h"
+#include "cache/memo.h"
 #include "common/error.h"
 #include "isa/trace_binary.h"
 #include "ml/dataset_binary.h"
@@ -404,11 +407,17 @@ TEST(ArtifactFormats, ModelBinaryRejectsGarbledNodes)
 // ArtifactCache behavior
 
 std::string
-testBlob(std::uint64_t key)
+serializeTestValue(std::uint64_t value)
 {
     cache::BinaryWriter w("TSTC", 1);
-    w.u64(key * 3 + 1);
+    w.u64(value);
     return std::move(w).finish();
+}
+
+std::string
+testBlob(std::uint64_t key)
+{
+    return serializeTestValue(key * 3 + 1);
 }
 
 std::uint64_t
@@ -453,6 +462,41 @@ TEST(ArtifactCache, DisabledCacheDoesNothing)
         rooted.loadAndParse("kind", 1, parseTestBlob).has_value());
 }
 
+/** getOrCompute of @p key's test value, counting computes. */
+std::uint64_t
+getOrComputeTestValue(cache::ArtifactCache& store, std::uint64_t key,
+                      int& computes)
+{
+    return store.getOrCompute(
+        "kind", key, parseTestBlob,
+        [&] {
+            ++computes;
+            return key * 3 + 1;
+        },
+        serializeTestValue);
+}
+
+/**
+ * getOrCompute over a damaged entry: the compute runs once, the bad
+ * entry counts one eviction, and the recompute's store replaces it so a
+ * plain load is a hit again.
+ */
+void
+expectRecomputedOnce(cache::ArtifactCache& store, std::uint64_t key)
+{
+    const std::uint64_t evictions0 = counterValue("cache.evictions");
+    int computes = 0;
+    EXPECT_EQ(getOrComputeTestValue(store, key, computes), key * 3 + 1);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(counterValue("cache.evictions"), evictions0 + 1);
+
+    const std::uint64_t hits0 = counterValue("cache.hits");
+    const auto hit = store.loadAndParse("kind", key, parseTestBlob);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(*hit, key * 3 + 1);
+    EXPECT_EQ(counterValue("cache.hits"), hits0 + 1);
+}
+
 TEST(ArtifactCache, CorruptEntryIsEvictedAndRecomputed)
 {
     cache::ArtifactCache store(freshDir("corrupt"));
@@ -464,17 +508,7 @@ TEST(ArtifactCache, CorruptEntryIsEvictedAndRecomputed)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << "not a valid frame";
     }
-    const std::uint64_t evictions0 = counterValue("cache.evictions");
-    EXPECT_FALSE(
-        store.loadAndParse("kind", 9, parseTestBlob).has_value());
-    EXPECT_EQ(counterValue("cache.evictions"), evictions0 + 1);
-    EXPECT_FALSE(fs::exists(path));  // corrupt file removed
-
-    // The recompute-and-store path leaves the cache healthy again.
-    ASSERT_TRUE(store.store("kind", 9, testBlob(9)));
-    const auto hit = store.loadAndParse("kind", 9, parseTestBlob);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, 9u * 3 + 1);
+    expectRecomputedOnce(store, 9);
 }
 
 TEST(ArtifactCache, TruncatedEntryFallsBack)
@@ -484,9 +518,57 @@ TEST(ArtifactCache, TruncatedEntryFallsBack)
     const std::string path = store.entryPath("kind", 11);
     const auto size = fs::file_size(path);
     fs::resize_file(path, size / 2);
-    EXPECT_FALSE(
-        store.loadAndParse("kind", 11, parseTestBlob).has_value());
-    EXPECT_FALSE(fs::exists(path));
+    expectRecomputedOnce(store, 11);
+}
+
+/** The cache.* counters, in a fixed order. */
+std::vector<std::uint64_t>
+cacheCounters()
+{
+    std::vector<std::uint64_t> out;
+    for (const char* name : {"cache.hits", "cache.misses", "cache.bytes_read",
+                             "cache.bytes_written", "cache.evictions"})
+        out.push_back(counterValue(name));
+    return out;
+}
+
+TEST(ArtifactCache, GetOrComputeWhenDisabledOnlyComputes)
+{
+    cache::ArtifactCache store;  // no directory -> disabled
+    const auto counters0 = cacheCounters();
+    int computes = 0;
+    const std::uint64_t value = store.getOrCompute(
+        "kind", 3,
+        [](const std::string&, const std::string&) -> std::uint64_t {
+            ADD_FAILURE() << "parse called while disabled";
+            return 0;
+        },
+        [&] {
+            ++computes;
+            return std::uint64_t{10};
+        },
+        [](std::uint64_t) {
+            ADD_FAILURE() << "serialize called while disabled";
+            return std::string();
+        });
+    EXPECT_EQ(value, 10u);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(cacheCounters(), counters0);
+}
+
+TEST(ArtifactCache, GetOrComputeStoresOnMissThenHits)
+{
+    cache::ArtifactCache store(freshDir("get_or_compute"));
+    const std::uint64_t hits0 = counterValue("cache.hits");
+    int computes = 0;
+    EXPECT_EQ(getOrComputeTestValue(store, 5, computes), 16u);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(counterValue("cache.hits"), hits0);
+    EXPECT_TRUE(fs::exists(store.entryPath("kind", 5)));
+
+    EXPECT_EQ(getOrComputeTestValue(store, 5, computes), 16u);
+    EXPECT_EQ(computes, 1);
+    EXPECT_EQ(counterValue("cache.hits"), hits0 + 1);
 }
 
 TEST(ArtifactCache, ScanAndClear)
@@ -507,6 +589,89 @@ TEST(ArtifactCache, ScanAndClear)
     EXPECT_EQ(store.clear(), 3u);
     EXPECT_TRUE(store.scan().empty() ||
                 store.scan()[0].entries + store.scan()[1].entries == 0);
+}
+
+TEST(ArtifactCache, ClearRemovesOrphanedTempFiles)
+{
+    cache::ArtifactCache store(freshDir("orphans"));
+    ASSERT_TRUE(store.store("kind", 1, testBlob(1)));
+    // What a store killed between its write and its rename leaves.
+    const std::string orphan = store.entryPath("kind", 2) + ".tmp.0.12345";
+    {
+        std::ofstream out(orphan, std::ios::binary);
+        out << "partial";
+    }
+    EXPECT_EQ(store.clear(), 2u);
+    EXPECT_FALSE(fs::exists(orphan));
+    EXPECT_TRUE(fs::is_empty(store.directory() + "/kind"));
+}
+
+// ---------------------------------------------------------------------------
+// Memo: compute-once in-process memoization
+
+TEST(Memo, RacingThreadsComputeEachKeyOnce)
+{
+    constexpr int kKeys = 16;
+    constexpr int kThreads = 8;
+    cache::Memo<int, int> memo("test.memo_race");
+    std::vector<std::atomic<int>> computes(kKeys);
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kKeys; ++i) {
+                const int key = (i + t) % kKeys;  // staggered orders
+                const int value = memo.get(key, [&] {
+                    computes[key].fetch_add(1);
+                    std::this_thread::yield();
+                    return key * 10;
+                });
+                if (value != key * 10)
+                    wrong.fetch_add(1);
+            }
+        });
+    }
+    for (auto& thread : threads)
+        thread.join();
+    EXPECT_EQ(wrong.load(), 0);
+    for (int key = 0; key < kKeys; ++key) {
+        EXPECT_EQ(computes[key].load(), 1) << "key " << key;
+        EXPECT_TRUE(memo.contains(key));
+    }
+}
+
+TEST(Memo, ThrowingComputeLeavesKeyRetryable)
+{
+    cache::Memo<int, int> memo("test.memo_throw");
+    const auto fail = []() -> int { throw std::runtime_error("transient"); };
+    EXPECT_THROW(memo.get(1, fail), std::runtime_error);
+    EXPECT_FALSE(memo.contains(1));
+    EXPECT_EQ(memo.get(1, [] { return 7; }), 7);
+    EXPECT_TRUE(memo.contains(1));
+}
+
+TEST(Memo, ReferencesSurviveLaterInserts)
+{
+    cache::Memo<int, std::string> memo("test.memo_refs");
+    const std::string& first =
+        memo.get(0, [] { return std::string("first"); });
+    for (int key = 1; key < 1000; ++key)
+        memo.get(key, [key] { return std::to_string(key); });
+    EXPECT_EQ(&memo.get(0, [] { return std::string("other"); }), &first);
+    EXPECT_EQ(first, "first");
+}
+
+TEST(Memo, HitsAndMissesAddUpToLookups)
+{
+    cache::Memo<int, int> memo("test.memo_counts");
+    const std::uint64_t hits0 = counterValue("test.memo_counts_hits");
+    const std::uint64_t misses0 = counterValue("test.memo_counts_misses");
+    constexpr int kLookups = 40;
+    for (int i = 0; i < kLookups; ++i)
+        memo.get(i % 5, [i] { return i % 5; });
+    EXPECT_EQ(counterValue("test.memo_counts_misses") - misses0, 5u);
+    EXPECT_EQ(counterValue("test.memo_counts_hits") - hits0,
+              std::uint64_t{kLookups - 5});
 }
 
 // ---------------------------------------------------------------------------
