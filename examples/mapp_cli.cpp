@@ -27,7 +27,6 @@
  *   --stdin                   explicit stdin/stdout transport
  *   --queue-rows=<n>          admission bound in queued rows (1024)
  *   --batch-rows=<n>          micro-batch flush size in rows (32)
- *   --linger-ms=<ms>          max wait for batch-mates (2.0)
  *   --default-deadline-ms=<ms> deadline for requests without one (off)
  *
  * Cache flags (valid before or after the command):
@@ -96,7 +95,7 @@ usage()
                  "  mapp_cli cache stats|clear|warm\n"
                  "  mapp_cli serve [--socket=<path> | --stdin] "
                  "[--queue-rows=<n>] [--batch-rows=<n>] "
-                 "[--linger-ms=<ms>] [--default-deadline-ms=<ms>]\n"
+                 "[--default-deadline-ms=<ms>]\n"
                  "flags:\n"
                  "  --cache-dir=<dir>      artifact cache root "
                  "(default $MAPP_CACHE_DIR, else ~/.cache/mapp)\n"
@@ -239,16 +238,6 @@ extractObsOptions(std::vector<std::string>& args)
             }
             opts.serve.service.batchRows =
                 static_cast<std::size_t>(rows.value());
-            opts.serve.any = true;
-        } else if (auto v = flagValue("--linger-ms=")) {
-            const auto ms = parseDouble(*v);
-            if (!ms || ms.value() < 0.0) {
-                std::fprintf(
-                    stderr,
-                    "error: --linger-ms needs a non-negative number\n");
-                return std::nullopt;
-            }
-            opts.serve.service.lingerMs = ms.value();
             opts.serve.any = true;
         } else if (auto v = flagValue("--default-deadline-ms=")) {
             const auto ms = parseDouble(*v);

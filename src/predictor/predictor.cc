@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 
 #include "cache/artifact_cache.h"
 #include "common/log.h"
@@ -381,6 +382,14 @@ MultiAppPredictor::looBenchmarkCv(const ml::Dataset& raw,
     const obs::ScopedPhase phase("loocv");
     ml::CrossValidationResult result;
     result.folds.resize(benchmarks.size());
+    // What each fold hands to the quality monitor after the loop.
+    struct Held
+    {
+        std::optional<MultiAppPredictor> model;
+        ml::Dataset test;
+        std::vector<double> predictions;
+    };
+    std::vector<Held> held(benchmarks.size());
     // Every fold trains its own model on its own split, so folds run
     // concurrently; fold f only writes slot f, keeping the paper's
     // benchmark order.
@@ -391,23 +400,29 @@ MultiAppPredictor::looBenchmarkCv(const ml::Dataset& raw,
         fold.label = bench;
         fold.testPoints = test.size();
         if (!train.empty() && !test.empty()) {
-            MultiAppPredictor model(params);
+            auto& model = held[f].model.emplace(params);
             model.train(train);
 
             // Evaluate in raw target units (the normalizer
             // round-trips): one batched project + normalize +
             // compiled traversal over the whole fold.
-            const auto predictions = model.predictDataset(test);
+            auto predictions = model.predictDataset(test);
             fold.meanRelativeError = ml::meanRelativeErrorPercent(
                 test.targets(), predictions);
             fold.mse =
                 ml::meanSquaredError(test.targets(), predictions);
-            // The fold's held-out truth doubles as online quality
-            // telemetry: error histograms + drift gauges.
-            model.observeGroundTruth(test, predictions);
+            held[f].test = std::move(test);
+            held[f].predictions = std::move(predictions);
         }
         result.folds[f] = std::move(fold);
     });
+    // The folds' held-out truth doubles as online quality telemetry
+    // (error histograms, drift gauges). It is fed in fold order, after
+    // the loop, so its floating-point sums do not depend on which
+    // fold finished first.
+    for (const auto& fold : held)
+        if (fold.model)
+            fold.model->observeGroundTruth(fold.test, fold.predictions);
     return result;
 }
 

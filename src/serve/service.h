@@ -11,16 +11,17 @@
  *    so memory stays bounded and clients get an immediate, actionable
  *    signal (retry, shed, or route elsewhere) instead of unbounded
  *    latency.
- *  - Micro-batching. The worker coalesces queued jobs until it holds
- *    at least batchRows rows (the compiled forest's lock-step kernel
- *    runs 32-row blocks) or the oldest job has lingered lingerMs,
- *    then answers the whole batch with ONE
+ *  - Work-conserving micro-batching. The worker sleeps only while the
+ *    queue is empty. Each time it wakes it takes every queued job, up
+ *    to batchRows rows (the compiled forest's lock-step kernel runs
+ *    32-row blocks), and answers them with ONE
  *    MultiAppPredictor::predictBatch call — bit-identical to per-row
- *    predict() by the engine's construction.
+ *    predict() by the engine's construction. Batches form under load
+ *    from the jobs that arrive while the previous batch computes; no
+ *    job ever waits on a timer for batch-mates.
  *  - Deadlines. A job whose deadline passes while it queues is
  *    answered "deadline_expired" at flush time rather than predicted
- *    late; the linger window never exceeds the earliest deadline in
- *    the batch.
+ *    late.
  *  - Hot reload. reload() builds a fresh model via the injected
  *    factory (typically a warm artifact-cache load) OUTSIDE any lock,
  *    then atomically swaps the served shared_ptr; in-flight batches
@@ -61,11 +62,9 @@ struct ServiceOptions
     /** Admission bound: queued rows beyond this are rejected. */
     std::size_t queueCapacityRows = 1024;
 
-    /** Flush a batch once it holds at least this many rows. */
+    /** A flush takes whole queued jobs until it holds at least this
+     *  many rows. */
     std::size_t batchRows = 32;
-
-    /** Max time the oldest queued job waits for batch-mates (ms). */
-    double lingerMs = 2.0;
 
     /** Deadline applied to requests that carry none (0 = none). */
     double defaultDeadlineMs = 0.0;

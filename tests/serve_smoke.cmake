@@ -27,7 +27,7 @@ file(WRITE "${requests}"
 execute_process(
     COMMAND "${MAPP_CLI}"
             "--metrics-out=${metrics}"
-            serve --stdin --linger-ms=1
+            serve --stdin
     INPUT_FILE "${requests}"
     OUTPUT_FILE "${responses}"
     RESULT_VARIABLE rc

@@ -3,14 +3,15 @@
  * Tests for the parallel execution layer: ThreadPool lifecycle,
  * parallelFor/parallelMap correctness and exception propagation, and —
  * the layer's hard requirement — bit-identical serial-vs-parallel
- * results for campaign collection, LOOCV fold errors and random-forest
- * predictions.
+ * results for campaign collection, LOOCV fold errors, the LOOCV
+ * quality telemetry and random-forest predictions.
  */
 
 #include <atomic>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,8 +21,12 @@
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
+#include "obs/metrics.h"
 #include "obs/timer.h"
 #include "predictor/data_collection.h"
+#include "predictor/features.h"
+#include "predictor/predictor.h"
+#include "predictor/quality.h"
 
 using namespace mapp;
 
@@ -223,6 +228,59 @@ TEST(SerialVsParallel, LoocvFoldErrorsAreBitIdentical)
         EXPECT_EQ(serial.folds[f].mse, threaded.folds[f].mse);
     }
     EXPECT_EQ(serial.meanRelativeError(), threaded.meanRelativeError());
+}
+
+namespace {
+
+/** What the quality monitor shows after one LOOCV run from a reset. */
+struct LoocvTelemetry
+{
+    double mapePct = 0.0;
+    std::uint64_t pairs = 0;
+};
+
+LoocvTelemetry
+loocvTelemetry(const ml::Dataset& data,
+               const std::vector<std::string>& benchmarks, int threads)
+{
+    const ThreadScope scope(threads);
+    auto& registry = obs::defaultRegistry();
+    auto& pairs = registry.counter("predictor.quality.pairs");
+    predictor::ModelQualityMonitor::global().reset();
+    const std::uint64_t pairs0 = pairs.value();
+    predictor::MultiAppPredictor::looBenchmarkCv(data, {}, benchmarks);
+    return {registry.gauge("predictor.quality.mape_pct").value(),
+            pairs.value() - pairs0};
+}
+
+}  // namespace
+
+TEST(SerialVsParallel, LoocvQualityTelemetryIsBitIdentical)
+{
+    // Sixteen synthetic benchmarks, one bag per pair: enough folds that
+    // four lanes finish them in a varying order.
+    std::vector<std::string> benchmarks;
+    for (int b = 0; b < 16; ++b)
+        benchmarks.push_back("B" + std::to_string(b));
+    const auto names = predictor::bagFeatureNames();
+    Rng rng(23);
+    ml::Dataset data(names);
+    for (std::size_t i = 0; i < benchmarks.size(); ++i)
+        for (std::size_t j = i; j < benchmarks.size(); ++j) {
+            std::vector<double> row(names.size());
+            for (auto& x : row)
+                x = rng.uniform(0.05, 1.0);
+            data.addRow(row, rng.uniform(0.1, 2.0),
+                        benchmarks[i] + "+" + benchmarks[j]);
+        }
+
+    const auto serial = loocvTelemetry(data, benchmarks, 1);
+    EXPECT_GT(serial.pairs, 0u);
+    for (int run = 0; run < 10; ++run) {
+        const auto threaded = loocvTelemetry(data, benchmarks, 4);
+        EXPECT_EQ(threaded.mapePct, serial.mapePct) << "run " << run;
+        EXPECT_EQ(threaded.pairs, serial.pairs) << "run " << run;
+    }
 }
 
 TEST(SerialVsParallel, ForestPredictionsAreBitIdentical)

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 #include "serve/protocol.h"
@@ -122,6 +124,53 @@ struct ResultSink
     std::atomic<std::size_t> arrived{0};
 };
 
+/**
+ * Occupies the batch worker: the callback of the one job it submits
+ * runs on the worker thread and blocks there until release(), so
+ * every job submitted meanwhile stays queued. Declare it after the
+ * service, so an early test exit releases the worker before the
+ * service's destructor drains it.
+ */
+class WorkerHold
+{
+  public:
+    explicit WorkerHold(PredictionService& service)
+    {
+        // The callback shares the state, so it stays valid however
+        // the worker and this object interleave their exits.
+        EXPECT_TRUE(service.submit(
+            randomQueries(7, 1), 0.0, [state = state_](JobResult r) {
+                state->result = std::move(r);
+                state->entered.count_down();
+                state->released.wait();
+            }));
+        state_->entered.wait();
+    }
+
+    ~WorkerHold() { release(); }
+
+    void release()
+    {
+        if (!releasedOnce_) {
+            releasedOnce_ = true;
+            state_->released.count_down();
+        }
+    }
+
+    /** The held job's answer; read it after the service drained. */
+    const JobResult& result() const { return state_->result; }
+
+  private:
+    struct State
+    {
+        std::latch entered{1};
+        std::latch released{1};
+        JobResult result;
+    };
+    std::shared_ptr<State> state_ = std::make_shared<State>();
+    bool releasedOnce_ = false;
+};
+
 // ---------------------------------------------------------------------------
 // PredictionService
 
@@ -130,7 +179,6 @@ TEST(PredictionService, MicroBatchedAnswersBitIdenticalToDirectPredict)
     const auto model = trainModel(11);
     ServiceOptions options;
     options.batchRows = 8;
-    options.lingerMs = 5.0;
     PredictionService service(model, nullptr, options);
 
     const auto queries = randomQueries(12, 48);
@@ -165,7 +213,6 @@ TEST(PredictionService, MultiRowJobsKeepSubmitOrderWithinTheJob)
     const auto model = trainModel(21);
     ServiceOptions options;
     options.batchRows = 4;
-    options.lingerMs = 2.0;
     PredictionService service(model, nullptr, options);
 
     const auto queries = randomQueries(22, 10);
@@ -187,9 +234,8 @@ TEST(PredictionService, FullQueueRejectsSynchronously)
     const auto model = trainModel(31);
     ServiceOptions options;
     options.queueCapacityRows = 4;
-    options.batchRows = 64;    // hold jobs in the queue...
-    options.lingerMs = 500.0;  // ...for the whole test window
     PredictionService service(model, nullptr, options);
+    WorkerHold hold(service);  // later jobs stay queued
 
     const auto queries = randomQueries(32, 5);
     ResultSink sink(queries.size());
@@ -202,57 +248,93 @@ TEST(PredictionService, FullQueueRejectsSynchronously)
     EXPECT_EQ(sink.arrived.load(), 1u);
     EXPECT_EQ(sink.results[4].error, "queue_full");
 
+    hold.release();
     service.drain();
     ASSERT_EQ(sink.arrived.load(), queries.size());
     for (std::size_t i = 0; i < 4; ++i)
         EXPECT_TRUE(sink.results[i].ok) << i;
+    EXPECT_TRUE(hold.result().ok) << hold.result().error;
 }
 
-TEST(PredictionService, ExpiredDeadlineCutsTheLingerShort)
+TEST(PredictionService, DeadlinePassedWhileQueuedExpiresAtFlush)
 {
     const auto model = trainModel(41);
-    ServiceOptions options;
-    options.batchRows = 64;
-    options.lingerMs = 2000.0;  // would stall far past the deadline
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model, nullptr, {});
+    WorkerHold hold(service);
 
-    const auto start = std::chrono::steady_clock::now();
-    ResultSink sink(1);
+    ResultSink sink(2);
     ASSERT_TRUE(
         service.submit(randomQueries(42, 1), 5.0, sink.slot(0)));
-    while (sink.arrived.load() == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    const auto waited = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
+    ASSERT_TRUE(service.submit(randomQueries(43, 1), 0.0, sink.slot(1)));
+    // The deadline is measured from inside submit(), so it has passed
+    // once 5 ms have elapsed since submit() returned.
+    std::this_thread::sleep_for(std::chrono::milliseconds(6));
+    EXPECT_EQ(sink.arrived.load(), 0u);
 
+    hold.release();
+    service.drain();
+    ASSERT_EQ(sink.arrived.load(), 2u);
     EXPECT_FALSE(sink.results[0].ok);
     EXPECT_EQ(sink.results[0].error, "deadline_expired");
-    // The worker must wake at the deadline, not at the linger bound.
-    EXPECT_LT(waited, 1.0);
+    // A batch-mate without a deadline is still answered.
+    EXPECT_TRUE(sink.results[1].ok) << sink.results[1].error;
+}
+
+TEST(PredictionService, QueuedJobsCoalesceBehindABusyWorker)
+{
+    const auto model = trainModel(44);
+    ServiceOptions options;
+    options.batchRows = 8;
+    PredictionService service(model, nullptr, options);
+    auto& batches = obs::defaultRegistry().counter("serve.batches");
+    WorkerHold hold(service);
+    const std::uint64_t before = batches.value();
+
+    const auto queries = randomQueries(45, 21);
+    ResultSink sink(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        ASSERT_TRUE(service.submit({queries[i]}, 0.0, sink.slot(i)));
+    hold.release();
     service.drain();
+
+    // 21 queued single-row jobs flush as ceil(21 / 8) = 3 batches.
+    EXPECT_EQ(batches.value() - before, 3u);
+    ASSERT_EQ(sink.arrived.load(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        const auto& r = sink.results[i];
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.predictedSeconds[0],
+                  model->predict(queries[i].a, queries[i].b,
+                                 queries[i].fairness))
+            << "row " << i;
+    }
 }
 
 TEST(PredictionService, DrainAnswersEverythingThenRefuses)
 {
     const auto model = trainModel(51);
-    ServiceOptions options;
-    options.batchRows = 64;
-    options.lingerMs = 300.0;
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model, nullptr, {});
+    WorkerHold hold(service);
 
     const auto queries = randomQueries(52, 6);
     ResultSink sink(queries.size() + 1);
     for (std::size_t i = 0; i < queries.size(); ++i)
         ASSERT_TRUE(service.submit({queries[i]}, 0.0, sink.slot(i)));
-    service.drain();
-    EXPECT_EQ(sink.arrived.load(), queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i)
-        EXPECT_TRUE(sink.results[i].ok) << sink.results[i].error;
 
+    // drain() joins the held worker, so it runs on its own thread.
+    std::thread drainer([&] { service.drain(); });
+    while (!service.draining())
+        std::this_thread::yield();
+    // Refused while earlier jobs are still queued.
     EXPECT_FALSE(service.submit(randomQueries(53, 1), 0.0,
                                 sink.slot(queries.size())));
     EXPECT_EQ(sink.results[queries.size()].error, "shutting_down");
+
+    hold.release();
+    drainer.join();
+    EXPECT_EQ(sink.arrived.load(), queries.size() + 1);
+    for (std::size_t i = 0; i < queries.size(); ++i)
+        EXPECT_TRUE(sink.results[i].ok) << sink.results[i].error;
 }
 
 TEST(PredictionService, HotReloadUnderLoadStaysBitIdentical)
@@ -265,7 +347,6 @@ TEST(PredictionService, HotReloadUnderLoadStaysBitIdentical)
         trainModel(61), [] { return trainModel(61); }, [] {
             ServiceOptions o;
             o.batchRows = 8;
-            o.lingerMs = 1.0;
             return o;
         }());
 
@@ -413,9 +494,7 @@ TEST(Server, DispatchAnswersSyncOpsAndFlagsBadRequests)
 TEST(Server, RawPredictThroughDispatchMatchesDirectPredict)
 {
     const auto model = trainModel(81);
-    ServiceOptions options;
-    options.lingerMs = 1.0;
-    PredictionService service(model, nullptr, options);
+    PredictionService service(model, nullptr, {});
     predictor::DataCollector collector;
     serve::Server server(service, collector);
 
@@ -532,7 +611,6 @@ TEST(ServeSocket, ConcurrentClientsThenGracefulShutdown)
     const auto model = trainModel(91);
     ServiceOptions options;
     options.batchRows = 4;
-    options.lingerMs = 2.0;
     PredictionService service(model, nullptr, options);
     predictor::DataCollector collector;
     serve::Server server(service, collector);
