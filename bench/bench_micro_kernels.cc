@@ -16,6 +16,7 @@
 #include "vision/knn.h"
 #include "vision/ops.h"
 #include "vision/orb.h"
+#include "vision/registry.h"
 #include "vision/sift.h"
 #include "vision/surf.h"
 #include "vision/svm.h"
@@ -65,6 +66,57 @@ BM_Sobel(benchmark::State& state)
     }
 }
 BENCHMARK(BM_Sobel)->Arg(192);
+
+void
+BM_GradientPolar(benchmark::State& state)
+{
+    const Image img = benchScene(192);
+    Image gx, gy, mag, orient;
+    ops::sobel(img, gx, gy);
+    for (auto _ : state) {
+        ops::gradientPolar(gx, gy, mag, orient);
+        benchmark::DoNotOptimize(orient);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(img.pixels()));
+}
+BENCHMARK(BM_GradientPolar);
+
+/** All-pairs distances at the KNN@320 shape: 7600 queries x 400
+ * references x 144 dimensions. */
+void
+BM_DistanceMatrix(benchmark::State& state)
+{
+    Rng rng(17);
+    auto rows = [&](std::size_t n) {
+        std::vector<Descriptor> out(n, Descriptor(144));
+        for (auto& d : out)
+            for (auto& v : d)
+                v = static_cast<float>(rng.uniform(-60.0, 60.0));
+        return out;
+    };
+    const auto queries = rows(7600);
+    const auto refs = rows(400);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ops::distanceMatrix(queries, refs));
+    state.SetItemsProcessed(state.iterations() * 7600 * 400);
+}
+BENCHMARK(BM_DistanceMatrix)->Unit(benchmark::kMillisecond);
+
+/** One cold profiling unit at batch 320, as the campaign runs it. */
+void
+BM_ProfileUnit(benchmark::State& state)
+{
+    const auto id = static_cast<BenchmarkId>(state.range(0));
+    state.SetLabel(benchmarkName(id) + "@320");
+    for (auto _ : state)
+        benchmark::DoNotOptimize(profileWorkload(id, 320));
+}
+BENCHMARK(BM_ProfileUnit)
+    ->Arg(static_cast<int>(BenchmarkId::Knn))
+    ->Arg(static_cast<int>(BenchmarkId::ObjRec))
+    ->Arg(static_cast<int>(BenchmarkId::Sift))
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_FastDetect(benchmark::State& state)

@@ -11,14 +11,6 @@ Image::Image(int w, int h, float fill)
 {
 }
 
-float
-Image::atClamped(int x, int y) const
-{
-    x = std::clamp(x, 0, w_ - 1);
-    y = std::clamp(y, 0, h_ - 1);
-    return at(x, y);
-}
-
 double
 Image::mean() const
 {

@@ -10,6 +10,7 @@
 #ifndef MAPP_VISION_IMAGE_H
 #define MAPP_VISION_IMAGE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,7 +40,14 @@ class Image
     float at(int x, int y) const { return data_[idx(x, y)]; }
 
     /** Access with coordinates clamped to the border. */
-    float atClamped(int x, int y) const;
+    float atClamped(int x, int y) const
+    {
+        return at(std::clamp(x, 0, w_ - 1), std::clamp(y, 0, h_ - 1));
+    }
+
+    /** First pixel of row @p y (unchecked). */
+    float* row(int y) { return data_.data() + idx(0, y); }
+    const float* row(int y) const { return data_.data() + idx(0, y); }
 
     /** True if (x, y) lies inside the image. */
     bool inside(int x, int y) const

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 
+#include "common/error.h"
 #include "profiler/op_profiler.h"
 
 namespace mapp::vision::ops {
@@ -90,22 +92,120 @@ using isa::InstClass;
 /** Bytes of a float. */
 constexpr Bytes kF = sizeof(float);
 
+/**
+ * Outputs the interior loops compute at once. A fixed trip count lets
+ * the compiler vectorize across neighbouring outputs while each output
+ * keeps its own scalar accumulator and operation order.
+ */
+constexpr int kLanes = 8;
+
+/** Reject a bad argument of primitive @p op, located at @p arg. */
+[[noreturn]] void
+rejectArgument(const char* op, const char* arg, const std::string& why,
+               std::size_t row = 0)
+{
+    SourceContext where;
+    where.file = std::string("ops::") + op;
+    where.row = row;
+    where.column = arg;
+    raise(Error(ErrorCode::InvalidArgument, why, std::move(where)));
+}
+
+/**
+ * out[x] = sum over t of src[t][x] * weight[t] for x in [0, n), each
+ * sum accumulated from 0.0f in tap order: the float operations of a
+ * per-pixel loop over the taps, run kLanes pixels at a time.
+ */
+void
+tapRow(std::span<const float* const> src, std::span<const float> weight,
+       float* out, int n)
+{
+    int x = 0;
+    for (; x + kLanes <= n; x += kLanes) {
+        float acc[kLanes] = {};
+        for (std::size_t t = 0; t < src.size(); ++t) {
+            const float* p = src[t] + x;
+            const float w = weight[t];
+#pragma GCC unroll kLanes
+            for (int l = 0; l < kLanes; ++l)
+                acc[l] += p[l] * w;
+        }
+        std::copy_n(acc, kLanes, out + x);
+    }
+    for (; x < n; ++x) {
+        float acc = 0.0f;
+        for (std::size_t t = 0; t < src.size(); ++t)
+            acc += src[t][x] * weight[t];
+        out[x] = acc;
+    }
+}
+
+/** out[x] = pixel(x) for x in [0, n), kLanes outputs at a time. */
+template <typename Pixel>
+void
+fillRow(float* out, int n, Pixel pixel)
+{
+    int x = 0;
+    for (; x + kLanes <= n; x += kLanes) {
+        float v[kLanes];
+        for (int l = 0; l < kLanes; ++l)
+            v[l] = pixel(x + l);
+        std::copy_n(v, kLanes, out + x);
+    }
+    for (; x < n; ++x)
+        out[x] = pixel(x);
+}
+
+/**
+ * @p img widened by @p r replicated edge pixels on the left and right:
+ * pixel (x + r, y) holds img.atClamped(x, y), so a horizontal tap at
+ * offset -r..r reads it without a clamp.
+ */
+Image
+padColumns(const Image& img, int r)
+{
+    const int w = img.width();
+    Image out(w + 2 * r, img.height());
+    if (img.pixels() == 0)
+        return out;
+    for (int y = 0; y < img.height(); ++y) {
+        const float* src = img.row(y);
+        float* dst = out.row(y);
+        std::fill_n(dst, r, src[0]);
+        std::copy_n(src, w, dst + r);
+        std::fill_n(dst + r + w, r, src[w - 1]);
+    }
+    return out;
+}
+
+/** Row @p y of @p img with y clamped to the image. */
+const float*
+clampedRow(const Image& img, int y)
+{
+    return img.row(std::clamp(y, 0, img.height() - 1));
+}
+
 }  // namespace
 
 Image
 convolve2d(const Image& img, std::span<const float> kernel, int k)
 {
+    if (k < 1 || kernel.size() != static_cast<std::size_t>(k) *
+                                      static_cast<std::size_t>(k))
+        rejectArgument("convolve2d", "kernel",
+                       "expected k*k = " + std::to_string(k) + "*" +
+                           std::to_string(k) + " weights, got " +
+                           std::to_string(kernel.size()));
     const int r = k / 2;
+    const Image wide = padColumns(img, r);
     Image out(img.width(), img.height());
+    std::vector<const float*> rows(kernel.size());
     for (int y = 0; y < img.height(); ++y) {
-        for (int x = 0; x < img.width(); ++x) {
-            float acc = 0.0f;
-            for (int j = 0; j < k; ++j)
-                for (int i = 0; i < k; ++i)
-                    acc += img.atClamped(x + i - r, y + j - r) *
-                           kernel[static_cast<std::size_t>(j * k + i)];
-            out.at(x, y) = acc;
-        }
+        for (int j = 0; j < k; ++j)
+            for (int i = 0; i < k; ++i)
+                rows[static_cast<std::size_t>(j * k + i)] =
+                    clampedRow(wide, y + j - r) + i;
+        tapRow(rows, kernel, out.row(y), img.width());
     }
 
     const auto px = static_cast<InstCount>(img.pixels());
@@ -134,6 +234,18 @@ convolve2d(const Image& img, std::span<const float> kernel, int k)
 Image
 gaussianBlur(const Image& img, float sigma)
 {
+    // A zero 2 sigma^2 makes every weight NaN; the cap keeps the radius
+    // (and the kernel) a sane int size.
+    constexpr float kMaxSigma = 1e4f;
+    if (!(sigma > 0.0f && sigma <= kMaxSigma &&
+          2.0f * sigma * sigma > 0.0f)) {
+        char got[32];
+        std::snprintf(got, sizeof got, "%g", static_cast<double>(sigma));
+        rejectArgument("gaussianBlur", "sigma",
+                       std::string("sigma must be in (0, 1e4] with "
+                                   "2 sigma^2 > 0, got ") +
+                           got);
+    }
     const int r = std::max(1, static_cast<int>(std::ceil(3.0f * sigma)));
     const int k = 2 * r + 1;
     std::vector<float> kernel(static_cast<std::size_t>(k));
@@ -148,24 +260,20 @@ gaussianBlur(const Image& img, float sigma)
         v /= sum;
 
     // Horizontal then vertical pass.
+    const Image wide = padColumns(img, r);
     Image tmp(img.width(), img.height());
-    for (int y = 0; y < img.height(); ++y)
-        for (int x = 0; x < img.width(); ++x) {
-            float acc = 0.0f;
-            for (int i = 0; i < k; ++i)
-                acc += img.atClamped(x + i - r, y) *
-                       kernel[static_cast<std::size_t>(i)];
-            tmp.at(x, y) = acc;
-        }
+    std::vector<const float*> rows(kernel.size());
+    for (int y = 0; y < img.height(); ++y) {
+        for (int i = 0; i < k; ++i)
+            rows[static_cast<std::size_t>(i)] = wide.row(y) + i;
+        tapRow(rows, kernel, tmp.row(y), img.width());
+    }
     Image out(img.width(), img.height());
-    for (int y = 0; y < img.height(); ++y)
-        for (int x = 0; x < img.width(); ++x) {
-            float acc = 0.0f;
-            for (int i = 0; i < k; ++i)
-                acc += tmp.atClamped(x, y + i - r) *
-                       kernel[static_cast<std::size_t>(i)];
-            out.at(x, y) = acc;
-        }
+    for (int y = 0; y < img.height(); ++y) {
+        for (int i = 0; i < k; ++i)
+            rows[static_cast<std::size_t>(i)] = clampedRow(tmp, y + i - r);
+        tapRow(rows, kernel, out.row(y), img.width());
+    }
 
     const auto px = static_cast<InstCount>(img.pixels());
     const auto taps = 2 * px * static_cast<InstCount>(k);
@@ -193,19 +301,21 @@ sobel(const Image& img, Image& gx, Image& gy)
 {
     gx = Image(img.width(), img.height());
     gy = Image(img.width(), img.height());
+    // Padded column x + 1 is image column x, so taps x-1, x, x+1 read
+    // columns x, x+1, x+2 of the above/current/below rows.
+    const Image wide = padColumns(img, 1);
     for (int y = 0; y < img.height(); ++y) {
-        for (int x = 0; x < img.width(); ++x) {
-            const float tl = img.atClamped(x - 1, y - 1);
-            const float t = img.atClamped(x, y - 1);
-            const float tr = img.atClamped(x + 1, y - 1);
-            const float l = img.atClamped(x - 1, y);
-            const float r = img.atClamped(x + 1, y);
-            const float bl = img.atClamped(x - 1, y + 1);
-            const float b = img.atClamped(x, y + 1);
-            const float br = img.atClamped(x + 1, y + 1);
-            gx.at(x, y) = (tr + 2 * r + br) - (tl + 2 * l + bl);
-            gy.at(x, y) = (bl + 2 * b + br) - (tl + 2 * t + tr);
-        }
+        const float* above = clampedRow(wide, y - 1);
+        const float* row = wide.row(y);
+        const float* below = clampedRow(wide, y + 1);
+        fillRow(gx.row(y), img.width(), [&](int x) {
+            return (above[x + 2] + 2 * row[x + 2] + below[x + 2]) -
+                   (above[x] + 2 * row[x] + below[x]);
+        });
+        fillRow(gy.row(y), img.width(), [&](int x) {
+            return (below[x] + 2 * below[x + 1] + below[x + 2]) -
+                   (above[x] + 2 * above[x + 1] + above[x + 2]);
+        });
     }
     const auto px = static_cast<InstCount>(img.pixels());
     PhaseBuilder("sobel")
@@ -258,16 +368,23 @@ gradientPolar(const Image& gx, const Image& gy, Image& mag, Image& orient)
 Image
 downsample2x(const Image& img)
 {
+    if (img.pixels() == 0)
+        rejectArgument("downsample2x", "img", "empty image");
     const int w = std::max(img.width() / 2, 1);
     const int h = std::max(img.height() / 2, 1);
     Image out(w, h);
-    for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-            out.at(x, y) =
-                (img.atClamped(2 * x, 2 * y) +
-                 img.atClamped(2 * x + 1, 2 * y) +
-                 img.atClamped(2 * x, 2 * y + 1) +
-                 img.atClamped(2 * x + 1, 2 * y + 1)) * 0.25f;
+    // Pixel 2x+1 (row 2y+1) lies inside the image unless the image is a
+    // single column (row), where the clamp folds it onto 2x (2y).
+    const int dx = img.width() > 1 ? 1 : 0;
+    const int dy = img.height() > 1 ? 1 : 0;
+    for (int y = 0; y < h; ++y) {
+        const float* r0 = img.row(2 * y);
+        const float* r1 = img.row(2 * y + dy);
+        fillRow(out.row(y), w, [&](int x) {
+            return (r0[2 * x] + r0[2 * x + dx] + r1[2 * x] +
+                    r1[2 * x + dx]) * 0.25f;
+        });
+    }
 
     const auto px = static_cast<InstCount>(out.pixels());
     PhaseBuilder("downsample2x")
@@ -292,24 +409,40 @@ downsample2x(const Image& img)
 Image
 resizeBilinear(const Image& img, int w, int h)
 {
+    if (img.pixels() == 0 || w < 1 || h < 1)
+        rejectArgument("resizeBilinear", "img",
+                       "cannot resize " + std::to_string(img.width()) +
+                           "x" + std::to_string(img.height()) + " to " +
+                           std::to_string(w) + "x" + std::to_string(h));
     Image out(w, h);
     const float sx =
         static_cast<float>(img.width()) / static_cast<float>(w);
     const float sy =
         static_cast<float>(img.height()) / static_cast<float>(h);
+    // Each output column's source columns and weight, clamped once.
+    std::vector<int> col0(static_cast<std::size_t>(w));
+    std::vector<int> col1(static_cast<std::size_t>(w));
+    std::vector<float> wx(static_cast<std::size_t>(w));
+    for (int x = 0; x < w; ++x) {
+        const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
+        const int x0 = static_cast<int>(std::floor(fx));
+        const auto c = static_cast<std::size_t>(x);
+        wx[c] = fx - static_cast<float>(x0);
+        col0[c] = std::clamp(x0, 0, img.width() - 1);
+        col1[c] = std::clamp(x0 + 1, 0, img.width() - 1);
+    }
     for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            const float fx = (static_cast<float>(x) + 0.5f) * sx - 0.5f;
-            const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
-            const int x0 = static_cast<int>(std::floor(fx));
-            const int y0 = static_cast<int>(std::floor(fy));
-            const float ax = fx - static_cast<float>(x0);
-            const float ay = fy - static_cast<float>(y0);
-            const float top = img.atClamped(x0, y0) * (1 - ax) +
-                              img.atClamped(x0 + 1, y0) * ax;
-            const float bot = img.atClamped(x0, y0 + 1) * (1 - ax) +
-                              img.atClamped(x0 + 1, y0 + 1) * ax;
-            out.at(x, y) = top * (1 - ay) + bot * ay;
+        const float fy = (static_cast<float>(y) + 0.5f) * sy - 0.5f;
+        const int y0 = static_cast<int>(std::floor(fy));
+        const float ay = fy - static_cast<float>(y0);
+        const float* r0 = clampedRow(img, y0);
+        const float* r1 = clampedRow(img, y0 + 1);
+        float* dst = out.row(y);
+        for (std::size_t c = 0; c < col0.size(); ++c) {
+            const float ax = wx[c];
+            const float top = r0[col0[c]] * (1 - ax) + r0[col1[c]] * ax;
+            const float bot = r1[col0[c]] * (1 - ax) + r1[col1[c]] * ax;
+            dst[c] = top * (1 - ay) + bot * ay;
         }
     }
     const auto px = static_cast<InstCount>(out.pixels());
@@ -458,16 +591,56 @@ distanceMatrix(const std::vector<Descriptor>& a,
                const std::vector<Descriptor>& b)
 {
     const std::size_t dim = a.empty() ? 0 : a.front().size();
+    auto requireDim = [&](const std::vector<Descriptor>& rows,
+                          const char* name) {
+        for (std::size_t i = 0; i < rows.size(); ++i)
+            if (rows[i].size() != dim)
+                rejectArgument("distanceMatrix", name,
+                               "descriptor has " +
+                                   std::to_string(rows[i].size()) +
+                                   " values, expected " +
+                                   std::to_string(dim),
+                               i + 1);
+    };
+    requireDim(a, "a");
+    if (!a.empty())
+        requireDim(b, "b");
+    // No pairs, no work: there is no phase to record (a phase with an
+    // empty mix fails validation).
+    if (a.empty() || b.empty())
+        return {};
+
+    // b in panels of kLanes rows, converted to double once and stored
+    // dimension-major, so each step over d reads kLanes neighbours. The
+    // last panel is zero-filled; its spare lanes are computed, not
+    // stored.
+    const std::size_t panels = (b.size() + kLanes - 1) / kLanes;
+    const std::size_t panelSize = dim * kLanes;
+    std::vector<double> bPanels(panels * panelSize, 0.0);
+    for (std::size_t j = 0; j < b.size(); ++j)
+        for (std::size_t d = 0; d < dim; ++d)
+            bPanels[j / kLanes * panelSize + d * kLanes + j % kLanes] =
+                static_cast<double>(b[j][d]);
+
     std::vector<double> out(a.size() * b.size(), 0.0);
+    std::vector<double> row(dim);
     for (std::size_t i = 0; i < a.size(); ++i) {
-        for (std::size_t j = 0; j < b.size(); ++j) {
-            double acc = 0.0;
+        std::copy(a[i].begin(), a[i].end(), row.begin());
+        for (std::size_t p = 0; p < panels; ++p) {
+            const double* panel = bPanels.data() + p * panelSize;
+            double acc[kLanes] = {};
             for (std::size_t d = 0; d < dim; ++d) {
-                const double diff = static_cast<double>(a[i][d]) -
-                                    static_cast<double>(b[j][d]);
-                acc += diff * diff;
+                const double ad = row[d];
+#pragma GCC unroll kLanes
+                for (int l = 0; l < kLanes; ++l) {
+                    const double diff = ad - panel[d * kLanes + l];
+                    acc[l] += diff * diff;
+                }
             }
-            out[i * b.size() + j] = acc;
+            const std::size_t j0 = p * kLanes;
+            std::copy_n(acc, std::min<std::size_t>(kLanes, b.size() - j0),
+                        out.begin() + static_cast<std::ptrdiff_t>(
+                                          i * b.size() + j0));
         }
     }
     const auto ops = static_cast<InstCount>(a.size()) *

@@ -9,6 +9,13 @@
  * counts are derived from the actual loop trip counts of the executed
  * code, so data-dependent work (e.g. early-exit tests, detected
  * keypoints) shows up in the mix exactly as PIN would see it.
+ *
+ * The filters, resamplers and distanceMatrix read edge-padded rows
+ * instead of clamping each tap, and compute several neighbouring
+ * outputs per loop so the compiler can vectorize them. Each output
+ * keeps the operands and operation order of a plain per-pixel clamped
+ * loop, so results (and hence traces) are bit-identical to it;
+ * tests/test_ops_exact.cc pins this against reference loops.
  */
 
 #ifndef MAPP_VISION_OPS_H
@@ -52,10 +59,18 @@ class PhaseBuilder
     isa::KernelPhase phase_;
 };
 
-/** Dense 2-D convolution with a k x k kernel (border clamped). */
+/**
+ * Dense 2-D convolution with a k x k kernel (border clamped).
+ * @throws InputError (invalid-argument) unless k >= 1 and kernel holds
+ *         exactly k*k weights.
+ */
 Image convolve2d(const Image& img, std::span<const float> kernel, int k);
 
-/** Separable Gaussian blur with the given sigma (radius = ceil(3 sigma)). */
+/**
+ * Separable Gaussian blur with the given sigma (radius = ceil(3 sigma)).
+ * @throws InputError (invalid-argument) unless sigma is in (0, 1e4] and
+ *         2 sigma^2 does not underflow to 0.
+ */
 Image gaussianBlur(const Image& img, float sigma);
 
 /** 3x3 Sobel gradients; writes gx and gy. */
@@ -65,10 +80,17 @@ void sobel(const Image& img, Image& gx, Image& gy);
 void gradientPolar(const Image& gx, const Image& gy, Image& mag,
                    Image& orient);
 
-/** Halve both dimensions by 2x2 averaging. */
+/**
+ * Halve both dimensions by 2x2 averaging.
+ * @throws InputError (invalid-argument) on an empty image.
+ */
 Image downsample2x(const Image& img);
 
-/** Bilinear resize to (w, h). */
+/**
+ * Bilinear resize to (w, h).
+ * @throws InputError (invalid-argument) on an empty image or a target
+ *         size below 1x1.
+ */
 Image resizeBilinear(const Image& img, int w, int h);
 
 /** Instrumented integral-image construction. */
@@ -90,7 +112,10 @@ double dot(std::span<const float> a, std::span<const float> b);
 
 /**
  * All-pairs squared Euclidean distances between row sets; result is
- * a.size() x b.size(), row-major. Streaming, memory-bound mix.
+ * a.size() x b.size(), row-major. Streaming, memory-bound mix. An empty
+ * set gives an empty result and records no phase.
+ * @throws InputError (invalid-argument, located at the 1-based row of
+ *         a or b) when a descriptor's length differs from a's first.
  */
 std::vector<double> distanceMatrix(
     const std::vector<Descriptor>& a, const std::vector<Descriptor>& b);

@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "isa/trace_binary.h"
+#include "obs/timer.h"
 #include "profiler/op_profiler.h"
 #include "vision/facedet.h"
 #include "vision/fast.h"
@@ -209,7 +210,10 @@ cachedTrace(BenchmarkId id, int batch_size)
     return traces.get({static_cast<int>(id), batch_size}, [&] {
         return cache::defaultArtifactCache().getOrCompute(
             "trace", traceCacheKey(id, batch_size), isa::traceFromBinary,
-            [&] { return profileWorkload(id, batch_size); },
+            [&] {
+                const obs::ScopedPhase phase("vision-profile");
+                return profileWorkload(id, batch_size);
+            },
             isa::traceToBinary);
     });
 }

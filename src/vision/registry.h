@@ -91,8 +91,9 @@ isa::WorkloadTrace profileWorkload(BenchmarkId id, int batch_size,
  * compute goes through the artifact cache's getOrCompute, so later
  * processes load the binary trace instead of re-profiling (a corrupt
  * entry is re-profiled and rewritten); that layer reports under
- * `cache.*`. The returned reference stays valid for the process
- * lifetime.
+ * `cache.*`. Each profiling run is one `vision-profile` pipeline phase
+ * (phase tree and trace). The returned reference stays valid for the
+ * process lifetime.
  */
 const isa::WorkloadTrace& cachedTrace(BenchmarkId id, int batch_size);
 

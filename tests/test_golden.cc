@@ -1,7 +1,8 @@
 /**
  * @file
- * Golden pin of the end-to-end output: the paper's 91-bag campaign
- * dataset (ml::hashDataset) and the per-benchmark LOOCV table must stay
+ * Golden pin of the end-to-end output: the 45 profiled (benchmark,
+ * batch) traces byte for byte, the paper's 91-bag campaign dataset
+ * (ml::hashDataset) and the per-benchmark LOOCV table must stay
  * bit-identical across refactors. ctest runs this binary at one lane
  * and at four (MAPP_THREADS=1 / =4, label `golden`), with the
  * persistent cache disabled; one test additionally routes the campaign
@@ -17,22 +18,28 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 #include <unistd.h>
 
 #include "cache/artifact_cache.h"
 #include "cache/hash.h"
 #include "common/parallel.h"
+#include "isa/trace_binary.h"
 #include "ml/dataset_binary.h"
 #include "obs/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
+#include "vision/registry.h"
 
 namespace {
 
 using namespace mapp;
 
 constexpr const char* kCampaignHash = "bd017af8c777bf72";
+
+/** Digest of isa::traceToBinary over all 45 (benchmark, batch) traces. */
+constexpr const char* kTracesHash = "6e5af6a9614c4553";
 
 constexpr const char* kLoocvTable =
     "FAST       10.60%  (16 points)\n"
@@ -89,6 +96,23 @@ TEST(Golden, CampaignHashAndLoocvTable)
 {
     RecordProperty("lanes", parallel::maxThreads());
     expectGolden(collectCampaign());
+}
+
+TEST(Golden, CampaignTracesAreByteIdentical)
+{
+    std::vector<std::pair<vision::BenchmarkId, int>> units;
+    for (auto id : vision::kAllBenchmarks)
+        for (int batch : vision::kBatchSizes)
+            units.emplace_back(id, batch);
+    std::vector<std::string> blobs(units.size());
+    parallel::parallelFor(units.size(), [&](std::size_t i) {
+        blobs[i] = isa::traceToBinary(
+            vision::cachedTrace(units[i].first, units[i].second));
+    });
+    cache::Hasher h;
+    for (const auto& blob : blobs)
+        h.add(blob);
+    EXPECT_EQ(h.hex(), kTracesHash);
 }
 
 TEST(Golden, ColdThenWarmThroughTempCache)

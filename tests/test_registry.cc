@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "cache/artifact_cache.h"
 #include "common/log.h"
+#include "obs/timer.h"
 #include "vision/registry.h"
 
 namespace {
@@ -107,6 +112,31 @@ TEST(Registry, CachedTraceIsStable)
     const auto& b = cachedTrace(BenchmarkId::Svm, 20);
     EXPECT_EQ(&a, &b);  // same object, memoized
     EXPECT_EQ(a.app(), "SVM");
+}
+
+/** Entries of the phase named @p name anywhere in @p node's subtree. */
+std::uint64_t
+phaseCount(const obs::PhaseProfiler::PhaseReport& node,
+           const std::string& name)
+{
+    std::uint64_t n = node.name == name ? node.count : 0;
+    for (const auto& child : node.children)
+        n += phaseCount(child, name);
+    return n;
+}
+
+TEST(Registry, CachedTraceProfilesUnderAVisionProfilePhase)
+{
+    // Profile for real: a stored trace would load without a phase.
+    auto& artifacts = cache::defaultArtifactCache();
+    const std::string dir = artifacts.directory();
+    artifacts.setDirectory("");
+    const auto& phases = obs::pipelineProfiler();
+    const auto before = phaseCount(phases.report(), "vision-profile");
+    cachedTrace(BenchmarkId::FaceDet, 40);  // first use: profiled
+    cachedTrace(BenchmarkId::FaceDet, 40);  // memo hit: no new phase
+    EXPECT_EQ(phaseCount(phases.report(), "vision-profile"), before + 1);
+    artifacts.setDirectory(dir);
 }
 
 TEST(Registry, DistinctBenchmarksHaveDistinctMixes)
