@@ -2,11 +2,11 @@
  * @file
  * The co-run simulation-engine microbench: raw event throughput of the
  * single-bag discrete-event engines (GPU MPS and CPU multicore) against
- * the in-process seed-loop transcription (sim/seed_reference.h — an A/B
- * under one machine state, immune to run-to-run machine drift), bag
- * throughput of the batch sweep path (serial loop vs. one parallelFor
- * sweep at the default thread count), and the cold end-to-end campaign
- * wall time (the number `mapp_cli collect` pays on a cold cache).
+ * the in-process seed-loop transcription
+ * (tests/support/seed_reference.h — an A/B under one machine state,
+ * immune to run-to-run machine drift), bag throughput of the batch
+ * sweep path (serial loop vs. one parallelFor sweep at the default
+ * thread count), and the cold end-to-end campaign wall time (the number `mapp_cli collect` pays on a cold cache).
  * Every number lands in the metrics sidecar (bench.sim.* gauges) and,
  * with --json-out, in a standalone JSON snapshot so the engine's perf
  * trajectory is measured, not asserted.
@@ -33,7 +33,7 @@
 #include "common/parallel.h"
 #include "common/parse.h"
 #include "common/table.h"
-#include "sim/seed_reference.h"
+#include "tests/support/seed_reference.h"
 #include "vision/registry.h"
 
 using namespace mapp;

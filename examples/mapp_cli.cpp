@@ -61,7 +61,6 @@
 #include "common/parallel.h"
 #include "common/parse.h"
 #include "common/shutdown.h"
-#include "common/simd.h"
 #include "isa/trace_io.h"
 #include "ml/dataset_io.h"
 #include "obs/audit.h"
@@ -113,9 +112,7 @@ usage()
                  "prediction (default 1)\n"
                  "  --log-level=<level>    quiet|normal|verbose|debug\n"
                  "  --threads=<n>          parallel lanes (default: "
-                 "MAPP_THREADS env, else all cores)\n"
-                 "  --simd=<tier>          auto|avx2|sse2|scalar "
-                 "kernel tier (default: MAPP_SIMD env, else auto)\n");
+                 "MAPP_THREADS env, else all cores)\n");
     return 2;
 }
 
@@ -192,18 +189,6 @@ extractObsOptions(std::vector<std::string>& args)
                 return std::nullopt;
             }
             parallel::setMaxThreads(threads.value());
-        } else if (auto v = flagValue("--simd=")) {
-            // Strict, unlike the MAPP_SIMD env fallback: a typo on the
-            // command line should fail loudly, not silently run auto.
-            // An unsupported-but-valid tier still warns and clamps
-            // inside setTierFromName (honoring it would SIGILL).
-            if (!simd::setTierFromName(*v)) {
-                std::fprintf(stderr,
-                             "error: unknown SIMD tier '%s' (expected "
-                             "auto, avx2, sse2 or scalar)\n",
-                             v->c_str());
-                return std::nullopt;
-            }
         } else if (auto v = flagValue("--cache-dir=")) {
             cache::defaultArtifactCache().setDirectory(*v);
         } else if (arg == "--no-cache") {
@@ -564,12 +549,6 @@ main(int argc, char** argv)
         return 2;
     if (args.empty())
         return usage();
-
-    // Resolve the SIMD kernel table (and run the one-time walk
-    // calibration) up front rather than on first batch call, so the
-    // simd.active_tier / simd.walk_tier gauges land in --metrics-out
-    // even for commands that never reach the batch inference path.
-    simd::kernels();
 
     const std::string cmd = args[0];
     const std::size_t n = args.size();

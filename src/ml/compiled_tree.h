@@ -12,34 +12,23 @@
  *  - threshold[i] double split threshold — or, at a leaf, the LEAF
  *                        VALUE (the sentinel encoding: a leaf never
  *                        wins or loses a comparison, see below)
- *  - left[i]/right[i] int32 child indices; a leaf points BOTH at
- *                        itself (left == right == i)
- *  - kids[2i]/kids[2i+1] int32 the same children interleaved, so the
- *                        batch walk selects the taken child with ONE
- *                        indexed load `kids[2i + go]`
- *  - packed[i]    simd::PackedNode  the same node as one 16-byte
- *                        record (threshold + feature/children word) —
- *                        the layout the gather-based walk kernels
- *                        consume (fewest gathers per level)
+ *  - kids[2i]/kids[2i+1] int32 the left and right children,
+ *                        interleaved so the batch walk selects the
+ *                        taken child with ONE indexed load
+ *                        `kids[2i + !(x <= t)]`; a leaf points BOTH
+ *                        at itself
  *
- * Leaves are folded into this self-loop sentinel so the batch kernel
+ * Leaves are folded into this self-loop sentinel so the batch walk
  * needs no per-step "is this row done?" branch: every row in a block
  * takes exactly depth() comparison steps — rows that reach a leaf
  * early just spin on it (any comparison routes to the same node) —
- * and the final threshold load IS the prediction. The walk kernels
- * get BOTH layouts through a simd::TreeNodes view and each reads the
- * one it is fastest on (see the PackedNode note in common/simd.h);
- * in every kernel the split decision is a SETcc-fed select, never a
+ * and the final threshold load IS the prediction. The split decision
+ * is a SETcc folded into the child load's address, never a
  * conditional branch the CPU would mispredict ~50% of the time. With
  * no branches in the loop the CPU overlaps the dependent node-load
  * chains of every row in the block, which is where the batch speedup
  * comes from; one-sample predict() instead early-exits on
- * left[i] == i over the int32 arrays.
- *
- * The packed word gives children 25 bits and features 14, so a
- * compiled engine holds at most simd::PackedNode::kMaxNodes (~33.5M)
- * nodes over at most 16384 features; the constructors fail fast
- * (FatalError) beyond that rather than truncate indices.
+ * kids[2i] == i.
  *
  * Compiled predictions are bit-identical to the node-walk reference:
  * the traversal evaluates exactly the same x[feature] <= threshold
@@ -56,7 +45,6 @@
 #include <span>
 #include <vector>
 
-#include "common/simd.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 
@@ -106,11 +94,8 @@ class CompiledTree
 
   private:
     std::vector<std::int32_t> feature_;
-    std::vector<std::int32_t> left_;
-    std::vector<std::int32_t> right_;
     std::vector<double> threshold_;
     std::vector<std::int32_t> kids_;  ///< interleaved [left,right]
-    std::vector<simd::PackedNode> packed_;  ///< gather-walk layout
     int steps_ = 0;
 };
 
@@ -153,11 +138,8 @@ class CompiledForest
 
   private:
     std::vector<std::int32_t> feature_;
-    std::vector<std::int32_t> left_;
-    std::vector<std::int32_t> right_;
     std::vector<double> threshold_;
     std::vector<std::int32_t> kids_;  ///< interleaved [left,right]
-    std::vector<simd::PackedNode> packed_;  ///< gather-walk layout
     std::vector<std::int32_t> roots_;  ///< root node index per tree
     std::vector<int> steps_;           ///< per-tree depth
 };

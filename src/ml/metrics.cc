@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.h"
-#include "common/simd.h"
 #include "common/stats.h"
 
 namespace mapp::ml {
@@ -23,6 +22,19 @@ requireFinite(std::span<const double> truth,
     }
 }
 
+/** Sum of (t[i]-p[i])^2 over the first @p n elements, in order. */
+double
+sumSquaredDiff(std::span<const double> truth,
+               std::span<const double> predicted, std::size_t n)
+{
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d = truth[i] - predicted[i];
+        acc += d * d;
+    }
+    return acc;
+}
+
 }  // namespace
 
 double
@@ -33,10 +45,7 @@ meanSquaredError(std::span<const double> truth,
     if (n == 0)
         return 0.0;
     requireFinite(truth, predicted, n, "ml::meanSquaredError");
-    const double acc =
-        simd::kernels().sumSquaredDiff(truth.data(), predicted.data(),
-                                       n);
-    return acc / static_cast<double>(n);
+    return sumSquaredDiff(truth, predicted, n) / static_cast<double>(n);
 }
 
 double
@@ -55,11 +64,10 @@ meanRelativeErrorPercent(std::span<const double> truth,
     const std::size_t n = std::min(truth.size(), predicted.size());
     if (n == 0)
         return 0.0;
-    // Validate first (keeping the fail-fast contract), then hand the
-    // finite data to the elementwise-vectorized reduction kernel.
     requireFinite(truth, predicted, n, "ml::meanRelativeErrorPercent");
-    const double acc = simd::kernels().sumAbsRelErrPct(
-        truth.data(), predicted.data(), n);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        acc += relativeErrorPercent(truth[i], predicted[i]);
     return acc / static_cast<double>(n);
 }
 
@@ -71,10 +79,12 @@ r2Score(std::span<const double> truth, std::span<const double> predicted)
         return 0.0;
     requireFinite(truth, predicted, n, "ml::r2Score");
     const double mean = stats::mean(truth.subspan(0, n));
-    const simd::Kernels& k = simd::kernels();
-    const double ssRes =
-        k.sumSquaredDiff(truth.data(), predicted.data(), n);
-    const double ssTot = k.sumSquaredDev(truth.data(), n, mean);
+    const double ssRes = sumSquaredDiff(truth, predicted, n);
+    double ssTot = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d = truth[i] - mean;
+        ssTot += d * d;
+    }
     if (ssTot <= 0.0)
         return ssRes <= 0.0 ? 1.0 : 0.0;
     return 1.0 - ssRes / ssTot;

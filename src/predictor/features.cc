@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.h"
-#include "common/simd.h"
 
 namespace mapp::predictor {
 
@@ -124,21 +123,22 @@ RangeNormalizer::applyBatchInPlace(std::span<double> rowMajor,
               "whole number of rows");
     // Expand the mask into a per-feature divisor vector: `scale` for
     // time features, exactly 1.0 for the rest. IEEE division by 1.0 is
-    // the identity, so the branch-free kernel divide matches the old
-    // masked divide bit for bit — and vectorizes.
+    // the identity, so the branch-free divide matches the masked
+    // divide bit for bit.
     std::vector<double> divisors(nFeatures, 1.0);
     for (std::size_t f = 0; f < nFeatures; ++f)
         if (time_mask[f])
             divisors[f] = scale_;
-    simd::kernels().normalizeRows(rowMajor.data(),
-                                  rowMajor.size() / nFeatures,
-                                  divisors.data(), nFeatures);
+    for (std::size_t base = 0; base < rowMajor.size(); base += nFeatures)
+        for (std::size_t f = 0; f < nFeatures; ++f)
+            rowMajor[base + f] /= divisors[f];
 }
 
 void
 RangeNormalizer::denormalizeInPlace(std::span<double> values) const
 {
-    simd::kernels().scaleValues(values.data(), values.size(), scale_);
+    for (double& v : values)
+        v *= scale_;
 }
 
 std::vector<double>

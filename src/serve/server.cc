@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "common/log.h"
-#include "common/simd.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/json_util.h"
@@ -206,8 +205,6 @@ Server::handleStats(const Request& request)
     fields += ",\"deadline_expired\":" +
               std::to_string(counter("serve.deadline_expired"));
     fields += ",\"reloads\":" + std::to_string(counter("serve.reloads"));
-    fields += ",\"simd_tier\":";
-    obs::appendJsonString(fields, simd::tierName(simd::activeTier()));
     return objectResponse(request.id, RequestOp::Stats, fields);
 }
 

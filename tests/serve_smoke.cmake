@@ -1,8 +1,9 @@
 # Two-process smoke for `mapp_cli serve`: feed a JSONL session over
 # stdin (ping, a member-form predict, a raw predict_batch, stats,
 # shutdown), then assert the service answered every request, exited 0
-# on the shutdown op, and wrote an intact metrics sidecar. Driven by
-# ctest:
+# on the shutdown op, and wrote an intact metrics sidecar. Also checks
+# that removed CLI flags are rejected and that a leftover MAPP_SIMD
+# environment variable changes no answer. Driven by ctest:
 #   cmake -DMAPP_CLI=<path> -DWORK_DIR=<dir> -P serve_smoke.cmake
 
 foreach(var MAPP_CLI WORK_DIR)
@@ -74,5 +75,48 @@ foreach(counter "serve.requests" "serve.predictions" "serve.batches")
         message(FATAL_ERROR
                 "serve_smoke: metrics sidecar is missing ${counter}:\n"
                 "${metric_doc}")
+    endif()
+endforeach()
+
+# Removed flags stay removed: each is an unknown flag (exit 2, named in
+# the message) on every command, never silently ignored.
+foreach(flag "--simd=auto" "--linger-ms=1")
+    execute_process(
+        COMMAND "${MAPP_CLI}" "${flag}" predict FAST@20 ORB@20
+        RESULT_VARIABLE flag_rc
+        OUTPUT_VARIABLE flag_out
+        ERROR_VARIABLE flag_err)
+    string(FIND "${flag_err}" "unknown flag '${flag}'" pos)
+    if(NOT flag_rc EQUAL 2 OR pos EQUAL -1)
+        message(FATAL_ERROR
+                "serve_smoke: ${flag} should exit 2 as an unknown flag, "
+                "got ${flag_rc}:\n${flag_out}\n${flag_err}")
+    endif()
+endforeach()
+
+# A stale MAPP_SIMD in the environment is inert: the same session
+# answers the same predictions byte for byte.
+set(env_responses "${WORK_DIR}/responses_env.jsonl")
+execute_process(
+    COMMAND "${CMAKE_COMMAND}" -E env MAPP_SIMD=avx2
+            "${MAPP_CLI}" serve --stdin
+    INPUT_FILE "${requests}"
+    OUTPUT_FILE "${env_responses}"
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "serve_smoke: serve with MAPP_SIMD set exited ${rc}:\n${err}")
+endif()
+file(READ "${env_responses}" env_out)
+foreach(id s2 s3)
+    string(REGEX MATCH "\"id\":\"${id}\"[^\n]*\"predicted_seconds\":[^\n]*\"epoch\""
+           want "${out}")
+    string(REGEX MATCH "\"id\":\"${id}\"[^\n]*\"predicted_seconds\":[^\n]*\"epoch\""
+           got "${env_out}")
+    if(want STREQUAL "" OR NOT want STREQUAL got)
+        message(FATAL_ERROR
+                "serve_smoke: MAPP_SIMD changed the ${id} answer:\n"
+                "${want}\nvs\n${got}")
     endif()
 endforeach()

@@ -19,8 +19,8 @@
  * include this file.
  */
 
-#ifndef MAPP_SIM_SEED_REFERENCE_H
-#define MAPP_SIM_SEED_REFERENCE_H
+#ifndef MAPP_TESTS_SUPPORT_SEED_REFERENCE_H
+#define MAPP_TESTS_SUPPORT_SEED_REFERENCE_H
 
 #include <algorithm>
 #include <limits>
@@ -231,4 +231,4 @@ runCpuSeedLoop(const std::vector<const isa::WorkloadTrace*>& traces,
 
 }  // namespace mapp::sim::reference
 
-#endif  // MAPP_SIM_SEED_REFERENCE_H
+#endif  // MAPP_TESTS_SUPPORT_SEED_REFERENCE_H

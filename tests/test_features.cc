@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/log.h"
+#include "common/rng.h"
 #include "predictor/features.h"
 #include "predictor/schemes.h"
 
@@ -113,6 +115,49 @@ TEST(Normalizer, DegenerateRangeFallsBackToIdentity)
     RangeNormalizer norm;
     norm.fit(d);
     EXPECT_DOUBLE_EQ(norm.scale(), 1.0);
+}
+
+TEST(Normalizer, BatchMatchesMaskedReference)
+{
+    // Pins the divisor-of-1.0 trick: the branch-free batch divide must
+    // equal the masked per-element divide bit for bit.
+    Rng rng(5150);
+    const auto names = bagFeatureNames();
+    const auto mask = RangeNormalizer::timeFeatureMask(names);
+    ml::Dataset train(names);
+    for (int r = 0; r < 12; ++r) {
+        std::vector<double> row(names.size());
+        for (double& v : row)
+            v = rng.uniform(0.1, 40.0);
+        train.addRow(std::move(row), rng.uniform(0.1, 40.0), "g");
+    }
+    RangeNormalizer norm;
+    norm.fit(train);
+    ASSERT_NE(1.0, norm.scale());
+
+    const std::size_t rows = 37;
+    std::vector<double> flat(rows * names.size());
+    for (double& v : flat)
+        v = rng.uniform(-50.0, 50.0);
+
+    auto reference = flat;
+    for (std::size_t base = 0; base < reference.size();
+         base += names.size())
+        for (std::size_t f = 0; f < names.size(); ++f)
+            if (mask[f])
+                reference[base + f] /= norm.scale();
+    auto out = flat;
+    norm.applyBatchInPlace(out, mask);
+    ASSERT_EQ(0, std::memcmp(reference.data(), out.data(),
+                             out.size() * sizeof(double)));
+
+    // denormalizeInPlace is the inverse direction (multiply).
+    auto denorm = out;
+    norm.denormalizeInPlace(denorm);
+    for (double& v : out)
+        v *= norm.scale();
+    ASSERT_EQ(0, std::memcmp(out.data(), denorm.data(),
+                             out.size() * sizeof(double)));
 }
 
 TEST(Schemes, InsmixExpandsBothSlots)

@@ -1,11 +1,15 @@
 /** @file Compiled-inference equivalence suite: the SoA engines must be
  * bit-identical to the node-walk oracle — fuzzed over random
  * trees/forests and probe vectors (including degenerate single-leaf
- * trees and probes placed exactly on split thresholds), across batch
- * sizes, at several thread counts, and on the real campaign dataset. */
+ * trees, probes placed exactly on split thresholds and NaN features),
+ * across every batch length from 1 to 700 rows, at several thread
+ * counts, and on the real campaign dataset. */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/log.h"
@@ -80,6 +84,76 @@ flatten(const std::vector<std::vector<double>>& rows)
     return flat;
 }
 
+/** Longest batch the fuzz sweeps: past two 256-row forest chunks. */
+constexpr std::size_t kMaxBatchRows = 700;
+
+/**
+ * A row-major probe batch of @p rows rows: random points, each with
+ * one feature set exactly ON the threshold of a random node of a
+ * random tree in @p trees (the <= boundary), and a NaN feature in
+ * every 13th row (NaN fails <=, so it must route right).
+ */
+std::vector<double>
+probeBatch(Rng& rng, std::span<const ml::DecisionTreeRegressor> trees,
+           std::size_t features, std::size_t rows)
+{
+    std::vector<double> flat;
+    flat.reserve(rows * features);
+    for (std::size_t i = 0; i < rows * features; ++i)
+        flat.push_back(rng.uniform(-12.0, 12.0));
+    for (std::size_t r = 0; r < rows; ++r) {
+        const auto& tree = trees[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(trees.size()) - 1))];
+        const auto v = tree.nodeView(static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(tree.nodeCount()) - 1)));
+        if (!v.leaf)
+            flat[r * features + static_cast<std::size_t>(v.feature)] =
+                v.threshold;
+        if (r % 13 == 0)
+            flat[r * features +
+                 static_cast<std::size_t>(rng.uniformInt(
+                     0, static_cast<int>(features) - 1))] =
+                std::numeric_limits<double>::quiet_NaN();
+    }
+    return flat;
+}
+
+/**
+ * predictBatch over the first n rows of @p flat must equal @p oracle
+ * bit for bit, for every n in @p lengths. Lengths 1..700 cover every
+ * 32/16/8/4/2/1 walk block, the backward-overlapping partial block
+ * and multi-chunk forest batches.
+ */
+template <typename Engine>
+void
+expectBatchesMatch(const Engine& compiled, const std::vector<double>& flat,
+                   std::size_t features, const std::vector<double>& oracle,
+                   std::span<const std::size_t> lengths)
+{
+    std::vector<double> out;
+    for (std::size_t n : lengths) {
+        out.assign(n, 0.0);
+        compiled.predictBatch(std::span(flat).first(n * features),
+                              features, out);
+        ASSERT_EQ(0, std::memcmp(out.data(), oracle.data(),
+                                 n * sizeof(double)))
+            << "batch of " << n << " rows";
+    }
+}
+
+/** Every length 1..kMaxBatchRows when @p sweep, else one random one. */
+std::vector<std::size_t>
+batchLengths(Rng& rng, bool sweep)
+{
+    std::vector<std::size_t> lengths;
+    if (!sweep)
+        return {static_cast<std::size_t>(
+            rng.uniformInt(1, static_cast<int>(kMaxBatchRows)))};
+    for (std::size_t n = 1; n <= kMaxBatchRows; ++n)
+        lengths.push_back(n);
+    return lengths;
+}
+
 TEST(CompiledTree, FuzzEquivalenceWithOracle)
 {
     Rng rng(2026);
@@ -108,6 +182,23 @@ TEST(CompiledTree, FuzzEquivalenceWithOracle)
             EXPECT_EQ(oracle, compiled.predict(probes[p]));
             EXPECT_EQ(oracle, batch[p]);
         }
+
+        const auto flatProbes = probeBatch(
+            rng, std::span(&tree, 1), features, kMaxBatchRows);
+        std::vector<double> oracle(kMaxBatchRows);
+        for (std::size_t r = 0; r < kMaxBatchRows; ++r) {
+            const auto x =
+                std::span(flatProbes).subspan(r * features, features);
+            oracle[r] = tree.predict(x);
+            ASSERT_EQ(oracle[r], compiled.predict(x)) << "row " << r;
+            ASSERT_EQ(tree.nodeView(static_cast<std::size_t>(
+                                        compiled.predictLeaf(x)))
+                          .value,
+                      oracle[r])
+                << "row " << r;
+        }
+        expectBatchesMatch(compiled, flatProbes, features, oracle,
+                           batchLengths(rng, trial % 4 == 0));
     }
 }
 
@@ -184,6 +275,21 @@ TEST(CompiledForest, FuzzEquivalenceWithOracle)
         }
         // The dataset overloads agree with the oracle too.
         EXPECT_EQ(forest.predict(d), compiled.predict(d));
+
+        const auto flatProbes =
+            probeBatch(rng, forest.trees(), features, kMaxBatchRows);
+        std::vector<double> oracle(kMaxBatchRows);
+        std::vector<double> votes;
+        for (std::size_t r = 0; r < kMaxBatchRows; ++r) {
+            const auto x =
+                std::span(flatProbes).subspan(r * features, features);
+            oracle[r] = forest.predict(x);
+            ASSERT_EQ(oracle[r], compiled.predict(x)) << "row " << r;
+            ASSERT_EQ(oracle[r], compiled.predictVotes(x, votes))
+                << "row " << r;
+        }
+        expectBatchesMatch(compiled, flatProbes, features, oracle,
+                           batchLengths(rng, trial % 4 == 0));
     }
 }
 
