@@ -1,19 +1,21 @@
 /**
  * @file
- * The inference-engine microbench: single-sample latency and batch
- * throughput of tree/forest prediction on the fig4 campaign dataset,
- * seed-style per-row node walk vs. the compiled SoA engines. Every
- * number lands in the metrics sidecar (bench.inference.* gauges) so
- * the perf trajectory of the serving path is measured, not asserted.
+ * The inference microbench: the tree's node-walk cost per prediction
+ * on the fig4 campaign dataset, and the provenance log's overhead on
+ * the predictDataset serving path (an interleaved off/on A/B). Every
+ * number lands in the metrics sidecar (bench.inference.* and
+ * bench.audit.* gauges).
  *
  * Flags:
  *   --iters=<n>     scale all repetition counts (default 2000; the
  *                   bench_smoke ctest entry passes a tiny value so the
  *                   whole path is compile- and run-checked in tier 1).
  *   --json-out=<f>  where to write the gauge snapshot (default
- *                   BENCH_inference.json; empty disables). This is the
- *                   tracked perf-trajectory artifact — the sidecar
- *                   <binary>.metrics.json still appears independently.
+ *                   BENCH_inference.json; empty disables). The
+ *                   sidecar <binary>.metrics.json still appears
+ *                   independently. One run is one sample: on a shared
+ *                   host, runs minutes apart differ by up to ~2x, so
+ *                   compare ranges over several runs.
  */
 
 #include <algorithm>
@@ -21,24 +23,18 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "common/parallel.h"
 #include "common/parse.h"
-#include "ml/compiled_tree.h"
-#include "ml/random_forest.h"
 #include "obs/audit.h"
 #include "predictor/predictor.h"
 
 using namespace mapp;
 
 namespace {
-
-/** Trees in the benchmark forest (the acceptance target's size). */
-constexpr int kForestSize = 50;
 
 /** Rows in the replicated "serving-scale" batch. */
 constexpr std::size_t kServingRows = 8192;
@@ -105,8 +101,7 @@ main(int argc, char** argv)
         }
     }
 
-    bench::printSystemHeader(
-        "Inference microbench - node walk vs. compiled SoA engine");
+    bench::printSystemHeader("Inference microbench - tree node walk");
 
     const auto& raw = bench::campaignDataset();
     const std::size_t nRows = raw.size();
@@ -114,172 +109,31 @@ main(int argc, char** argv)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(raw);
-    const ml::CompiledTree compiledTree(tree);
-
-    ml::RandomForestParams fp;
-    fp.numTrees = kForestSize;
-    ml::RandomForestRegressor forest(fp);
-    forest.fit(raw);
-    const ml::CompiledForest compiledForest(forest);
-
-    // Flat row-major buffers: the campaign batch and a replicated
-    // serving-scale batch (the campaign tiled to kServingRows rows).
     const auto flat = raw.toRowMajor();
-    std::vector<double> servingFlat;
-    servingFlat.reserve(kServingRows * nFeatures);
-    while (servingFlat.size() < kServingRows * nFeatures) {
-        const std::size_t want =
-            kServingRows * nFeatures - servingFlat.size();
-        servingFlat.insert(
-            servingFlat.end(), flat.begin(),
-            want >= flat.size() ? flat.end()
-                                : flat.begin() + static_cast<long>(want));
-    }
-
-    // Correctness gate first: the compiled engines must agree with
-    // the node-walk oracle on every campaign row before any timing
-    // is worth reporting.
-    {
-        const auto treeOracle = tree.predict(raw);
-        const auto forestOracle = forest.predict(raw);
-        if (compiledTree.predict(raw) != treeOracle ||
-            compiledForest.predict(raw) != forestOracle) {
-            std::fprintf(stderr,
-                         "FATAL: compiled predictions diverge from the "
-                         "node-walk oracle\n");
-            return 1;
-        }
-    }
-
     std::vector<double> out(nRows);
-    std::vector<double> servingOut(kServingRows);
-    const long singleReps = iters;
-    const long batchReps = iters;
-    const long servingReps = std::max(1L, iters / 16);
 
-    // --- single-sample latency (one prediction per call) ---
-    const double treeSingleRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = tree.predict(raw.row(i));
-        },
-        singleReps);
-    const double treeSingleCompiled = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = compiledTree.predict(raw.row(i));
-        },
-        singleReps);
-    const double forestSingleRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = forest.predict(raw.row(i));
-        },
-        singleReps);
-    const double forestSingleCompiled = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = compiledForest.predict(raw.row(i));
-        },
-        singleReps);
-
-    // --- batch throughput on the campaign dataset ---
-    // The reference is the seed shape: every row re-walks the whole
-    // ensemble through the pointer-heavy nodes.
-    const double forestBatchRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = forest.predict(raw.row(i));
-        },
-        batchReps);
-    const double forestBatchCompiled = secondsFor(
-        [&] { compiledForest.predictBatch(flat, nFeatures, out); },
-        batchReps);
-    const double treeBatchRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < nRows; ++i)
-                out[i] = tree.predict(raw.row(i));
-        },
-        batchReps);
-    const double treeBatchCompiled = secondsFor(
-        [&] { compiledTree.predictBatch(flat, nFeatures, out); },
-        batchReps);
-
-    // --- serving-scale batch (campaign tiled to kServingRows) ---
-    const double servingRef = secondsFor(
-        [&] {
-            for (std::size_t i = 0; i < kServingRows; ++i)
-                servingOut[i] = forest.predict(std::span<const double>(
-                    servingFlat.data() + i * nFeatures, nFeatures));
-        },
-        servingReps);
-    const double servingCompiled = secondsFor(
-        [&] {
-            compiledForest.predictBatch(servingFlat, nFeatures,
-                                        servingOut);
-        },
-        servingReps);
+    // Correctness gate first: the batch walk must agree with the
+    // one-sample walk on every campaign row before any timing is
+    // worth reporting.
+    tree.predictBatch(flat, nFeatures, out);
+    if (out != tree.predict(raw)) {
+        std::fprintf(stderr, "FATAL: batch predictions diverge from "
+                             "the one-sample walk\n");
+        return 1;
+    }
 
     const auto perPredNs = [](double seconds, long reps,
                               std::size_t rows) {
         return 1e9 * seconds /
                (static_cast<double>(reps) * static_cast<double>(rows));
     };
-    struct Line
-    {
-        const char* name;
-        double refNs;
-        double engineNs;
-        const char* gauge;
-    };
-    const Line lines[] = {
-        {"tree single-sample", perPredNs(treeSingleRef, singleReps, nRows),
-         perPredNs(treeSingleCompiled, singleReps, nRows),
-         "tree.single"},
-        {"forest(50) single-sample",
-         perPredNs(forestSingleRef, singleReps, nRows),
-         perPredNs(forestSingleCompiled, singleReps, nRows),
-         "forest.single"},
-        {"tree batch(91)", perPredNs(treeBatchRef, batchReps, nRows),
-         perPredNs(treeBatchCompiled, batchReps, nRows), "tree.batch"},
-        {"forest(50) batch(91)",
-         perPredNs(forestBatchRef, batchReps, nRows),
-         perPredNs(forestBatchCompiled, batchReps, nRows),
-         "forest.batch"},
-        {"forest(50) batch(8192)",
-         perPredNs(servingRef, servingReps, kServingRows),
-         perPredNs(servingCompiled, servingReps, kServingRows),
-         "forest.serving"},
-    };
-
-    TextTable table("inference latency / throughput (" +
-                    std::to_string(parallel::maxThreads()) +
-                    " thread lanes)");
-    table.setHeader({"path", "node walk ns/pred", "compiled ns/pred",
-                     "speedup", "compiled preds/sec"});
-    for (const auto& line : lines) {
-        const double speedup =
-            line.engineNs > 0.0 ? line.refNs / line.engineNs : 0.0;
-        const double pps = 1e9 / line.engineNs;
-        table.addRow({line.name, formatDouble(line.refNs, 1),
-                      formatDouble(line.engineNs, 1),
-                      formatDouble(speedup, 2) + "x",
-                      formatDouble(pps, 0)});
-        const std::string prefix =
-            std::string("bench.inference.") + line.gauge;
-        setGauge(prefix + ".ref_ns_per_pred", line.refNs);
-        setGauge(prefix + ".compiled_ns_per_pred", line.engineNs);
-        setGauge(prefix + ".speedup", speedup);
-        setGauge(prefix + ".compiled_preds_per_sec", pps);
-    }
-    std::printf("%s\n", table.render().c_str());
-
-    const double target = perPredNs(forestBatchRef, batchReps, nRows) /
-                          perPredNs(forestBatchCompiled, batchReps,
-                                    nRows);
-    std::printf("forest(%d) campaign batch speedup: %.2fx "
-                "(acceptance target: >= 5x)\n",
-                kForestSize, target);
+    const double treeNs = perPredNs(
+        secondsFor([&] { tree.predictBatch(flat, nFeatures, out); },
+                   iters),
+        iters, nRows);
+    setGauge("bench.inference.tree.ns_per_pred", treeNs);
+    std::printf("tree batch(%zu) node walk: %.1f ns/pred\n", nRows,
+                treeNs);
 
     // --- audit overhead: the full predictDataset serving path with
     // the provenance log off vs. on at 1% sampling (the production

@@ -267,7 +267,7 @@ main(int argc, char** argv)
     std::printf("%s\n", table.render().c_str());
     std::printf(
         "the worker never waits for batch-mates: a lone client is "
-        "answered alone, concurrent clients coalesce into one compiled "
+        "answered alone, concurrent clients coalesce into one "
         "predictBatch call while the previous batch computes.\n");
     return 0;
 }

@@ -169,6 +169,16 @@ BinaryReader::f64()
     return std::bit_cast<double>(u64());
 }
 
+std::uint64_t
+BinaryReader::count()
+{
+    const std::uint64_t n = u64();
+    if (n > end_ - pos_)
+        fail("element count " + std::to_string(n) + " exceeds the " +
+             std::to_string(end_ - pos_) + " payload bytes left");
+    return n;
+}
+
 std::string
 BinaryReader::str()
 {

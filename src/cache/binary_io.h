@@ -74,8 +74,13 @@ class BinaryReader
     double f64();
     std::string str();
 
-    /** Bytes of payload not yet consumed. */
-    std::size_t remaining() const { return end_ - pos_; }
+    /**
+     * A u64 element count for a sequence whose every element takes at
+     * least one payload byte, so callers may size containers from it.
+     * @throws mapp::InputError if the count exceeds the payload bytes
+     *         left (a crafted frame whose checksum still holds).
+     */
+    std::uint64_t count();
 
     /**
      * Assert the payload was consumed exactly.

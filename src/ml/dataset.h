@@ -50,7 +50,7 @@ class Dataset
     /**
      * Flatten the feature matrix into one contiguous row-major buffer
      * (row r at [r*numFeatures(), (r+1)*numFeatures())) — the layout
-     * the compiled batch-inference engine consumes.
+     * DecisionTreeRegressor::predictBatch consumes.
      */
     std::vector<double> toRowMajor() const;
 

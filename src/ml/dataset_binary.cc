@@ -36,13 +36,13 @@ Dataset
 datasetFromBinary(const std::string& blob, const std::string& source)
 {
     cache::BinaryReader r(blob, source, kMagic, kVersion);
-    const std::uint64_t numFeatures = r.u64();
+    const std::uint64_t numFeatures = r.count();
     std::vector<std::string> names;
     names.reserve(numFeatures);
     for (std::uint64_t k = 0; k < numFeatures; ++k)
         names.push_back(r.str());
     Dataset data(std::move(names));
-    const std::uint64_t rows = r.u64();
+    const std::uint64_t rows = r.count();
     for (std::uint64_t i = 0; i < rows; ++i) {
         std::vector<double> row(numFeatures);
         for (std::uint64_t k = 0; k < numFeatures; ++k)

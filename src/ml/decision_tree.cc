@@ -64,10 +64,20 @@ DecisionTreeRegressor::fit(const std::vector<std::vector<double>>& rows,
 {
     if (rows.empty() || rows.size() != targets.size())
         fatal("DecisionTreeRegressor::fit: empty or mismatched data");
+    const std::size_t numFeatures = rows.front().size();
+    if (!feature_names.empty() && feature_names.size() != numFeatures)
+        fatal("DecisionTreeRegressor::fit: " +
+              std::to_string(feature_names.size()) +
+              " feature names for rows of width " +
+              std::to_string(numFeatures));
     // A single NaN/Inf would silently corrupt every split score (any
     // comparison with NaN is false), so reject the fit up front with a
     // locatable message instead of training a poisoned model.
     for (std::size_t r = 0; r < rows.size(); ++r) {
+        if (rows[r].size() != numFeatures)
+            fatal("DecisionTreeRegressor::fit: row " + std::to_string(r) +
+                  " has " + std::to_string(rows[r].size()) +
+                  " features, row 0 has " + std::to_string(numFeatures));
         if (!std::isfinite(targets[r]))
             fatal("DecisionTreeRegressor::fit: non-finite target at row " +
                   std::to_string(r));
@@ -83,11 +93,10 @@ DecisionTreeRegressor::fit(const std::vector<std::vector<double>>& rows,
 
     nodes_.clear();
     if (feature_names.empty())
-        feature_names.assign(rows.front().size(), "");
+        feature_names.assign(numFeatures, "");
     featureNames_ = std::move(feature_names);
 
     const std::size_t n = rows.size();
-    const std::size_t numFeatures = rows.front().size();
 
     if (numFeatures == 0) {
         // Degenerate featureless fit: a single mean leaf.
@@ -280,42 +289,72 @@ DecisionTreeRegressor::buildNode(
     return nodeId;
 }
 
+namespace {
+
+void
+checkWidth(const char* who, bool trained, std::size_t width,
+           std::size_t numFeatures)
+{
+    if (!trained)
+        fatal(std::string(who) + ": model not trained");
+    if (width != numFeatures)
+        fatal(std::string(who) + ": sample has " + std::to_string(width) +
+              " features, the tree was trained on " +
+              std::to_string(numFeatures));
+}
+
+}  // namespace
+
+const DecisionTreeRegressor::Node&
+DecisionTreeRegressor::leafOf(const double* x) const
+{
+    const Node* node = nodes_.data();
+    while (!node->leaf)
+        node = &nodes_[static_cast<std::size_t>(
+            x[static_cast<std::size_t>(node->feature)] <= node->threshold
+                ? node->left
+                : node->right)];
+    return *node;
+}
+
 double
 DecisionTreeRegressor::predict(std::span<const double> x) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::predict: model not trained");
-    int cur = 0;
-    while (!nodes_[static_cast<std::size_t>(cur)].leaf) {
-        const Node& node = nodes_[static_cast<std::size_t>(cur)];
-        cur = x[static_cast<std::size_t>(node.feature)] <= node.threshold
-                  ? node.left
-                  : node.right;
-    }
-    return nodes_[static_cast<std::size_t>(cur)].value;
+    checkWidth("DecisionTreeRegressor::predict", trained(), x.size(),
+               numFeatures());
+    return leafOf(x.data()).value;
+}
+
+int
+DecisionTreeRegressor::predictLeaf(std::span<const double> x) const
+{
+    checkWidth("DecisionTreeRegressor::predictLeaf", trained(), x.size(),
+               numFeatures());
+    return static_cast<int>(&leafOf(x.data()) - nodes_.data());
+}
+
+void
+DecisionTreeRegressor::predictBatch(std::span<const double> rowMajor,
+                                    std::size_t nFeatures,
+                                    std::span<double> out) const
+{
+    checkWidth("DecisionTreeRegressor::predictBatch", trained(), nFeatures,
+               numFeatures());
+    if (rowMajor.size() != nFeatures * out.size())
+        fatal("DecisionTreeRegressor::predictBatch: rowMajor size does "
+              "not equal nFeatures * out size");
+    for (std::size_t r = 0; r < out.size(); ++r)
+        out[r] = leafOf(rowMajor.data() + r * nFeatures).value;
 }
 
 std::vector<double>
 DecisionTreeRegressor::predict(const Dataset& data) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::predict: model not trained");
-    // Sized up front and walked without the per-call trained check:
-    // this loop is the oracle the compiled engine is checked against,
-    // so it stays a plain node walk, just not a needlessly slow one.
+    checkWidth("DecisionTreeRegressor::predict", trained(),
+               data.numFeatures(), numFeatures());
     std::vector<double> out(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const auto& x = data.row(i);
-        int cur = 0;
-        while (!nodes_[static_cast<std::size_t>(cur)].leaf) {
-            const Node& node = nodes_[static_cast<std::size_t>(cur)];
-            cur = x[static_cast<std::size_t>(node.feature)] <=
-                          node.threshold
-                      ? node.left
-                      : node.right;
-        }
-        out[i] = nodes_[static_cast<std::size_t>(cur)].value;
-    }
+    for (std::size_t i = 0; i < data.size(); ++i)
+        out[i] = leafOf(data.row(i).data()).value;
     return out;
 }
 
@@ -340,8 +379,8 @@ DecisionTreeRegressor::nodeView(std::size_t i) const
 std::vector<DecisionStep>
 DecisionTreeRegressor::decisionPath(std::span<const double> x) const
 {
-    if (nodes_.empty())
-        fatal("DecisionTreeRegressor::decisionPath: model not trained");
+    checkWidth("DecisionTreeRegressor::decisionPath", trained(), x.size(),
+               numFeatures());
     std::vector<DecisionStep> path;
     int cur = 0;
     while (!nodes_[static_cast<std::size_t>(cur)].leaf) {

@@ -46,9 +46,9 @@ struct DecisionStep
 };
 
 /**
- * Read-only view of one tree node, exposed so external engines (the
- * compiled SoA inference layer) can flatten a trained tree without
- * depending on the private storage layout.
+ * Read-only view of one tree node, exposed so the model serializer and
+ * the predictor's per-leaf audit tables can read a trained tree
+ * without depending on the private storage layout.
  */
 struct TreeNodeView
 {
@@ -74,7 +74,11 @@ class DecisionTreeRegressor
     /** Fit to a dataset (features + targets). @throws FatalError if empty. */
     void fit(const Dataset& data);
 
-    /** Fit to raw rows/targets (used by the random forest). */
+    /**
+     * Fit to raw rows/targets. @throws FatalError if empty, if a row's
+     * width differs from the first row's, or if non-empty
+     * @p feature_names does not name every column.
+     */
     void fit(const std::vector<std::vector<double>>& rows,
              const std::vector<double>& targets,
              std::vector<std::string> feature_names = {});
@@ -94,8 +98,33 @@ class DecisionTreeRegressor
         std::vector<std::string> feature_names,
         DecisionTreeParams params = {});
 
-    /** Predict one sample. */
+    /**
+     * Predict one sample. NaN fails every `<=` test and routes right.
+     * @throws FatalError if untrained or @p x is not numFeatures()
+     *         long.
+     */
     double predict(std::span<const double> x) const;
+
+    /**
+     * The node id of the leaf @p x lands on, so callers can key
+     * per-leaf tables (audit path summaries, residual RMSE) off it.
+     * nodeView(predictLeaf(x)).value == predict(x).
+     * @throws FatalError as predict().
+     */
+    int predictLeaf(std::span<const double> x) const;
+
+    /**
+     * Predict a row-major batch: sample r occupies
+     * rowMajor[r*nFeatures .. (r+1)*nFeatures) and its prediction is
+     * written to out[r]. Element r equals predict() of that row bit
+     * for bit.
+     * @throws FatalError if untrained, @p nFeatures is not
+     *         numFeatures() or rowMajor.size() != nFeatures *
+     *         out.size().
+     */
+    void predictBatch(std::span<const double> rowMajor,
+                      std::size_t nFeatures,
+                      std::span<double> out) const;
 
     /** Predict every row of a dataset. */
     std::vector<double> predict(const Dataset& data) const;
@@ -159,6 +188,9 @@ class DecisionTreeRegressor
         int right = -1;
         int depth = 0;
     };
+
+    /** The leaf node @p x lands on; no checks (callers validate). */
+    const Node& leafOf(const double* x) const;
 
     /**
      * Grow one subtree over the samples in @p orders (one presorted

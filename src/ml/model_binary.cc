@@ -13,8 +13,6 @@ namespace {
 
 constexpr std::string_view kTreeMagic = "MMDL";
 constexpr std::uint32_t kTreeVersion = 1;
-constexpr std::string_view kForestMagic = "MFRT";
-constexpr std::uint32_t kForestVersion = 1;
 
 void
 writeTreeBody(cache::BinaryWriter& w, const DecisionTreeRegressor& tree)
@@ -49,12 +47,12 @@ readTreeBody(cache::BinaryReader& r)
     params.minSamplesSplit = r.i32();
     params.minSamplesLeaf = r.i32();
     params.minImpurityDecrease = r.f64();
-    const std::uint64_t numNames = r.u64();
+    const std::uint64_t numNames = r.count();
     std::vector<std::string> names;
     names.reserve(numNames);
     for (std::uint64_t k = 0; k < numNames; ++k)
         names.push_back(r.str());
-    const std::uint64_t numNodes = r.u64();
+    const std::uint64_t numNodes = r.count();
     std::vector<TreeNodeView> nodes;
     nodes.reserve(numNodes);
     for (std::uint64_t i = 0; i < numNodes; ++i) {
@@ -92,47 +90,6 @@ treeFromBinary(const std::string& blob, const std::string& source)
     DecisionTreeRegressor tree = readTreeBody(r);
     r.expectEnd();
     return tree;
-}
-
-std::string
-forestToBinary(const RandomForestRegressor& forest)
-{
-    if (!forest.trained())
-        fatal("forestToBinary: model not trained");
-    const auto& p = forest.params();
-    cache::BinaryWriter w(kForestMagic, kForestVersion);
-    w.i32(p.numTrees);
-    w.i32(p.tree.maxDepth);
-    w.i32(p.tree.minSamplesSplit);
-    w.i32(p.tree.minSamplesLeaf);
-    w.f64(p.tree.minImpurityDecrease);
-    w.f64(p.sampleFraction);
-    w.u64(p.seed);
-    w.u64(forest.treeCount());
-    for (const auto& tree : forest.trees())
-        writeTreeBody(w, tree);
-    return std::move(w).finish();
-}
-
-RandomForestRegressor
-forestFromBinary(const std::string& blob, const std::string& source)
-{
-    cache::BinaryReader r(blob, source, kForestMagic, kForestVersion);
-    RandomForestParams params;
-    params.numTrees = r.i32();
-    params.tree.maxDepth = r.i32();
-    params.tree.minSamplesSplit = r.i32();
-    params.tree.minSamplesLeaf = r.i32();
-    params.tree.minImpurityDecrease = r.f64();
-    params.sampleFraction = r.f64();
-    params.seed = r.u64();
-    const std::uint64_t count = r.u64();
-    std::vector<DecisionTreeRegressor> trees;
-    trees.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i)
-        trees.push_back(readTreeBody(r));
-    r.expectEnd();
-    return RandomForestRegressor::fromTrees(std::move(trees), params);
 }
 
 void

@@ -1,8 +1,10 @@
 /**
  * @file
  * A bagged random-forest regressor over DecisionTreeRegressor — an
- * extension beyond the paper's single tree, used by the ablation benches
- * to check whether ensembling helps on this small, structured dataset.
+ * extension beyond the paper's single tree. No production path serves
+ * it: the ablation bench (bench_svr_vs_dtree) uses it to check whether
+ * ensembling helps on this small, structured dataset, and it predicts
+ * through each member tree's own node walk.
  */
 
 #ifndef MAPP_ML_RANDOM_FOREST_H
@@ -54,21 +56,6 @@ class RandomForestRegressor
 
     /** The hyper-parameters the forest was constructed with. */
     const RandomForestParams& params() const { return params_; }
-
-    /**
-     * Reconstruct a trained forest from already-reconstructed trees
-     * (the model-deserialization path). @throws FatalError if @p trees
-     * is empty or any tree is untrained.
-     */
-    static RandomForestRegressor fromTrees(
-        std::vector<DecisionTreeRegressor> trees,
-        RandomForestParams params = {});
-
-    /** The fitted trees (read-only; used by the compiled engine). */
-    const std::vector<DecisionTreeRegressor>& trees() const
-    {
-        return trees_;
-    }
 
   private:
     RandomForestParams params_;

@@ -239,10 +239,7 @@ std::vector<DataPoint>
 campaignFromBinary(const std::string& blob, const std::string& source)
 {
     cache::BinaryReader r(blob, source, kCampaignMagic, kRecordVersion);
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())  // each point takes far more than one byte
-        raise({ErrorCode::Schema, "campaign point count exceeds payload",
-               {source, 0, ""}});
+    const std::uint64_t n = r.count();
     std::vector<DataPoint> out;
     out.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

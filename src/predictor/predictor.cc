@@ -106,7 +106,6 @@ MultiAppPredictor::train(const ml::Dataset& raw)
             return tree;
         },
         ml::treeToBinary);
-    compiled_ = ml::CompiledTree(*tree_);
     buildAuditTables(prepared);
 }
 
@@ -185,7 +184,7 @@ MultiAppPredictor::auditRows(const char* model,
         const auto row = flat.subspan(
             static_cast<std::size_t>(i) * nFeatures, nFeatures);
         const auto leaf =
-            static_cast<std::size_t>(compiled_.predictLeaf(row));
+            static_cast<std::size_t>(tree_->predictLeaf(row));
         // In-place fill: the ring slot's buffers are reused, so a
         // steady-state audit record allocates nothing.
         record.seq = first + i;
@@ -237,7 +236,7 @@ MultiAppPredictor::predict(const AppFeatures& a, const AppFeatures& b,
         fatal("MultiAppPredictor::predict: model not trained");
     const auto row = queryRow(a, b, fairness);
     const double out =
-        normalizer_.denormalizeTarget(compiled_.predict(row));
+        normalizer_.denormalizeTarget(tree_->predict(row));
     auditRows("single", row, row.size(), {&out, 1});
     return out;
 }
@@ -257,7 +256,7 @@ MultiAppPredictor::predictBatch(const std::vector<BagQuery>& queries) const
     }
     normalizer_.applyBatchInPlace(flat, timeMask_);
     std::vector<double> out(queries.size());
-    compiled_.predictBatch(flat, nF, out);
+    tree_->predictBatch(flat, nF, out);
     normalizer_.denormalizeInPlace(out);
     auditRows("batch", flat, nF, out);
     return out;
@@ -272,7 +271,7 @@ MultiAppPredictor::predictDataset(const ml::Dataset& raw_test) const
     auto flat = projected.toRowMajor();
     normalizer_.applyBatchInPlace(flat, timeMask_);
     std::vector<double> out(projected.size());
-    compiled_.predictBatch(flat, projected.numFeatures(), out);
+    tree_->predictBatch(flat, projected.numFeatures(), out);
     normalizer_.denormalizeInPlace(out);
     // Remember the audit range so observeGroundTruth() can annotate
     // this batch's records once the actual times are known.
@@ -333,25 +332,14 @@ MultiAppPredictor::explain(const DataPoint& point) const
     const auto row = queryRow(point.a, point.b, point.fairness);
 
     Explanation e;
-    e.predictedSeconds =
-        normalizer_.denormalizeTarget(compiled_.predict(row));
-    // The decision path stays on the node-walk oracle: the compiled
-    // engine answers "what", the tree explains "why".
+    const auto leaf = static_cast<std::size_t>(tree_->predictLeaf(row));
+    e.predictedSeconds = normalizer_.denormalizeTarget(
+        tree_->nodeView(leaf).value);
     e.path = tree_->decisionPath(row);
     e.featureNames = schemeNames_;
-    const auto leaf =
-        static_cast<std::size_t>(compiled_.predictLeaf(row));
     e.uncertaintySeconds = leafRmseSeconds_[leaf];
     e.pathSummary = leafSummary_[leaf];
     return e;
-}
-
-const ml::CompiledTree&
-MultiAppPredictor::compiledTree() const
-{
-    if (!trained())
-        fatal("MultiAppPredictor::compiledTree: model not trained");
-    return compiled_;
 }
 
 const ml::DecisionTreeRegressor&
@@ -404,8 +392,8 @@ MultiAppPredictor::looBenchmarkCv(const ml::Dataset& raw,
             model.train(train);
 
             // Evaluate in raw target units (the normalizer
-            // round-trips): one batched project + normalize +
-            // compiled traversal over the whole fold.
+            // round-trips): one batched project + normalize + tree
+            // walk over the whole fold.
             auto predictions = model.predictDataset(test);
             fold.meanRelativeError = ml::meanRelativeErrorPercent(
                 test.targets(), predictions);

@@ -91,7 +91,7 @@ class CoScheduler
      * Predicted time of every (canonical) candidate bag, scored in
      * one batch: fairness for uncached pairs is measured across
      * parallelFor lanes, then the model predicts all of them in a
-     * single compiled-tree batch.
+     * single tree batch.
      */
     std::vector<double> scoreBags(const std::vector<BagSpec>& specs,
                                   Round& round) const;

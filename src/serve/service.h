@@ -2,7 +2,7 @@
  * @file
  * The resident prediction service: a bounded MPMC request queue with
  * admission control in front of a micro-batching worker that feeds the
- * compiled inference engine.
+ * trained decision tree.
  *
  * Design:
  *  - Backpressure by rejection, never by growth. submit() admits a job
@@ -13,12 +13,12 @@
  *    latency.
  *  - Work-conserving micro-batching. The worker sleeps only while the
  *    queue is empty. Each time it wakes it takes every queued job, up
- *    to batchRows rows (the compiled forest's lock-step kernel runs
- *    32-row blocks), and answers them with ONE
- *    MultiAppPredictor::predictBatch call — bit-identical to per-row
- *    predict() by the engine's construction. Batches form under load
- *    from the jobs that arrive while the previous batch computes; no
- *    job ever waits on a timer for batch-mates.
+ *    to batchRows rows (a cap on one batch, nothing more), and answers
+ *    them with ONE MultiAppPredictor::predictBatch call —
+ *    bit-identical to per-row predict(), since both run the same tree
+ *    walk. Batches form under load from the jobs that arrive while
+ *    the previous batch computes; no job ever waits on a timer for
+ *    batch-mates.
  *  - Deadlines. A job whose deadline passes while it queues is
  *    answered "deadline_expired" at flush time rather than predicted
  *    late.

@@ -1,5 +1,5 @@
-/** @file Tests for the prediction-provenance log, the compiled-tree
- * audit hooks (leaf ids, per-tree votes) and the model-quality
+/** @file Tests for the prediction-provenance log, the tree's audit
+ * hook (leaf ids keying the per-leaf tables) and the model-quality
  * monitor: ring semantics, sampling arithmetic, concurrent writers,
  * ground-truth annotation and the predictor integration end to end. */
 
@@ -14,10 +14,8 @@
 #include <vector>
 
 #include "common/log.h"
-#include "ml/compiled_tree.h"
 #include "ml/dataset.h"
 #include "ml/decision_tree.h"
-#include "ml/random_forest.h"
 #include "obs/audit.h"
 #include "obs/json_reader.h"
 #include "obs/metrics.h"
@@ -244,9 +242,9 @@ TEST(PredictionLog, ConcurrentWritersLoseNothing)
 }
 
 // ---------------------------------------------------------------------------
-// Compiled-model audit hooks
+// Tree audit hook
 
-TEST(CompiledTree, PredictLeafAgreesWithPrediction)
+TEST(TreeAudit, PredictLeafAgreesWithPrediction)
 {
     ml::Dataset data({"x"});
     for (int i = 0; i < 32; ++i)
@@ -254,47 +252,17 @@ TEST(CompiledTree, PredictLeafAgreesWithPrediction)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(data);
-    const ml::CompiledTree compiled(tree);
 
     for (double x : {0.0, 7.5, 15.0, 16.0, 31.0}) {
         const std::vector<double> row{x};
-        const auto leaf = compiled.predictLeaf(row);
+        const auto leaf = tree.predictLeaf(row);
         ASSERT_GE(leaf, 0);
         ASSERT_LT(static_cast<std::size_t>(leaf), tree.nodeCount());
-        // The leaf id keys the source tree's node table.
+        // The leaf id keys the tree's node table.
         const auto view =
             tree.nodeView(static_cast<std::size_t>(leaf));
         EXPECT_TRUE(view.leaf);
-        EXPECT_DOUBLE_EQ(view.value, compiled.predict(row));
-    }
-}
-
-TEST(CompiledForest, PredictVotesMeanMatchesPredict)
-{
-    ml::Dataset data({"x", "y"});
-    for (int i = 0; i < 48; ++i) {
-        const double x = static_cast<double>(i % 8);
-        const double y = static_cast<double>(i / 8);
-        data.addRow({x, y}, x * 2.0 + y);
-    }
-
-    ml::RandomForestParams params;
-    params.numTrees = 5;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(data);
-    const ml::CompiledForest compiled(forest);
-
-    std::vector<double> votes;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const auto& row = data.row(i);
-        const double mean = compiled.predictVotes(row, votes);
-        ASSERT_EQ(votes.size(), compiled.treeCount());
-        double sum = 0.0;
-        for (const double v : votes)
-            sum += v;
-        EXPECT_DOUBLE_EQ(mean,
-                         sum / static_cast<double>(votes.size()));
-        EXPECT_DOUBLE_EQ(mean, compiled.predict(row));
+        EXPECT_EQ(view.value, tree.predict(row));
     }
 }
 

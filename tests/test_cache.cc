@@ -32,7 +32,6 @@
 #include "ml/dataset_binary.h"
 #include "ml/decision_tree.h"
 #include "ml/model_binary.h"
-#include "ml/random_forest.h"
 #include "obs/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
@@ -373,21 +372,6 @@ TEST(ArtifactFormats, TreeRoundTripPredictsIdentically)
     }
 }
 
-TEST(ArtifactFormats, ForestRoundTripPredictsIdentically)
-{
-    const auto data = sampleDataset();
-    ml::RandomForestParams params;
-    params.numTrees = 5;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(data);
-    const auto back =
-        ml::forestFromBinary(ml::forestToBinary(forest), "forest-blob");
-    for (const auto& row : data.rows()) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(back.predict(row)),
-                  std::bit_cast<std::uint64_t>(forest.predict(row)));
-    }
-}
-
 TEST(ArtifactFormats, ModelBinaryRejectsGarbledNodes)
 {
     const auto data = sampleDataset();
@@ -400,6 +384,58 @@ TEST(ArtifactFormats, ModelBinaryRejectsGarbledNodes)
         // Checksum catches the flip; anything that (hypothetically)
         // slipped through would still die in fromNodes validation.
         EXPECT_THROW(ml::treeFromBinary(bad, "t"), FatalError);
+    }
+}
+
+/** Element counts no payload can hold: one past the vector limit and
+ * one the allocator cannot satisfy. */
+constexpr std::uint64_t kHugeCounts[] = {std::uint64_t{1} << 62,
+                                          std::uint64_t{1} << 40};
+
+/**
+ * A well-formed tree frame (valid checksum) that declares @p numNames
+ * feature names and @p numNodes nodes but carries none of them.
+ */
+std::string
+craftedTreeFrame(std::uint64_t numNames, std::uint64_t numNodes)
+{
+    cache::BinaryWriter w("MMDL", 1);
+    w.i32(10);
+    w.i32(2);
+    w.i32(2);
+    w.f64(0.0);
+    w.u64(numNames);
+    if (numNames == 0)
+        w.u64(numNodes);
+    return std::move(w).finish();
+}
+
+TEST(ArtifactFormats, HugeCountsInValidFramesAreLocatedInputErrors)
+{
+    for (const std::uint64_t huge : kHugeCounts) {
+        EXPECT_THROW(ml::treeFromBinary(craftedTreeFrame(huge, 0), "t"),
+                     InputError);
+        EXPECT_THROW(ml::treeFromBinary(craftedTreeFrame(0, huge), "t"),
+                     InputError);
+
+        cache::BinaryWriter features("MDST", 1);
+        features.u64(huge);
+        EXPECT_THROW(
+            ml::datasetFromBinary(std::move(features).finish(), "d"),
+            InputError);
+
+        cache::BinaryWriter rows("MDST", 1);
+        rows.u64(1);
+        rows.str("x");
+        rows.u64(huge);
+        EXPECT_THROW(ml::datasetFromBinary(std::move(rows).finish(), "d"),
+                     InputError);
+    }
+    try {
+        ml::treeFromBinary(craftedTreeFrame(0, kHugeCounts[0]), "crafted");
+        FAIL() << "expected InputError";
+    } catch (const InputError& e) {
+        EXPECT_EQ(e.error().context().file, "crafted");
     }
 }
 
@@ -519,6 +555,29 @@ TEST(ArtifactCache, TruncatedEntryFallsBack)
     const auto size = fs::file_size(path);
     fs::resize_file(path, size / 2);
     expectRecomputedOnce(store, 11);
+}
+
+TEST(ArtifactCache, HugeCountModelFrameIsRecomputed)
+{
+    cache::ArtifactCache store(freshDir("huge_count"));
+    const auto data = sampleDataset();
+    for (const std::uint64_t huge : kHugeCounts) {
+        ASSERT_TRUE(store.store("model", huge, craftedTreeFrame(0, huge)));
+        const std::uint64_t evictions0 = counterValue("cache.evictions");
+        int computes = 0;
+        const auto tree = store.getOrCompute(
+            "model", huge, ml::treeFromBinary,
+            [&] {
+                ++computes;
+                ml::DecisionTreeRegressor fitted;
+                fitted.fit(data);
+                return fitted;
+            },
+            ml::treeToBinary);
+        EXPECT_EQ(computes, 1);
+        EXPECT_TRUE(tree.trained());
+        EXPECT_EQ(counterValue("cache.evictions"), evictions0 + 1);
+    }
 }
 
 /** The cache.* counters, in a fixed order. */

@@ -119,6 +119,70 @@ TEST(DecisionTree, PredictBeforeFitIsFatal)
     EXPECT_THROW(tree.predict(std::vector<double>{1.0}), FatalError);
 }
 
+TEST(DecisionTree, FitRejectsRaggedRows)
+{
+    DecisionTreeRegressor tree;
+    const std::vector<std::vector<double>> rows{
+        {1.0, 2.0}, {3.0}, {5.0, 6.0}};
+    EXPECT_THROW(tree.fit(rows, {1.0, 2.0, 3.0}), FatalError);
+    EXPECT_FALSE(tree.trained());
+}
+
+TEST(DecisionTree, FitRejectsNameCountOtherThanRowWidth)
+{
+    const std::vector<std::vector<double>> rows{
+        {1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}, {7.0, 8.0}};
+    const std::vector<double> targets{1.0, 1.0, 5.0, 5.0};
+    DecisionTreeRegressor tree;
+    EXPECT_THROW(tree.fit(rows, targets, {"only_one"}), FatalError);
+    EXPECT_THROW(tree.fit(rows, targets, {"a", "b", "c"}), FatalError);
+    tree.fit(rows, targets, {"a", "b"});
+    EXPECT_EQ(tree.featureImportances().size(), 2u);
+}
+
+TEST(DecisionTree, PredictRejectsSampleOfWrongWidth)
+{
+    DecisionTreeRegressor tree;
+    tree.fit(stepDataset());
+    const std::vector<double> shortRow{3.0};
+    const std::vector<double> longRow{3.0, 0.5, 1.0};
+    for (const auto* x : {&shortRow, &longRow}) {
+        EXPECT_THROW(tree.predict(*x), FatalError);
+        EXPECT_THROW(tree.predictLeaf(*x), FatalError);
+        EXPECT_THROW(tree.decisionPath(*x), FatalError);
+        EXPECT_THROW(tree.featureUsageCounts(*x), FatalError);
+    }
+    EXPECT_THROW(tree.predictLeaf(std::vector<double>{}), FatalError);
+}
+
+TEST(DecisionTree, PredictBatchRejectsBadShapes)
+{
+    DecisionTreeRegressor untrained;
+    std::vector<double> one(1);
+    EXPECT_THROW(untrained.predictBatch(std::vector<double>{1.0, 2.0}, 2,
+                                        one),
+                 FatalError);
+
+    DecisionTreeRegressor tree;
+    tree.fit(stepDataset());
+    std::vector<double> out(3);
+    // Not 3 rows x 2 features.
+    const std::vector<double> flat{1.0, 2.0, 3.0, 4.0};
+    EXPECT_THROW(tree.predictBatch(flat, 2, out), FatalError);
+    // 2 rows x 2 features, but the tree reads 2 features, not 1 or 4.
+    std::vector<double> four(4);
+    EXPECT_THROW(tree.predictBatch(flat, 1, four), FatalError);
+    std::vector<double> single(1);
+    EXPECT_THROW(tree.predictBatch(flat, 4, single), FatalError);
+
+    std::vector<double> two(2);
+    tree.predictBatch(flat, 2, two);
+    EXPECT_EQ(two[0], tree.predict(std::vector<double>{1.0, 2.0}));
+    EXPECT_EQ(two[1], tree.predict(std::vector<double>{3.0, 4.0}));
+    std::vector<double> none;
+    tree.predictBatch({}, 2, none);  // an empty batch is fine
+}
+
 TEST(DecisionTree, DecisionPathConsistentWithPrediction)
 {
     DecisionTreeRegressor tree;

@@ -31,7 +31,6 @@
 #include "cache/hash.h"
 #include "common/parallel.h"
 #include "isa/trace_binary.h"
-#include "ml/compiled_tree.h"
 #include "ml/dataset_binary.h"
 #include "ml/model_binary.h"
 #include "ml/random_forest.h"
@@ -100,7 +99,7 @@ constexpr const char* kExplainPathsHash = "7f9b681058c0c0a9";
 /** Digest of predictDataset over all 91 bags (the batched walk). */
 constexpr const char* kPredictDatasetHash = "023d091a8b2c14f5";
 
-/** Digest of a 50-tree CompiledForest's batch over the raw campaign. */
+/** Digest of a 50-tree forest's predict(Dataset) over the raw campaign. */
 constexpr const char* kForestBatchHash = "ee4c59c8e442c675";
 
 /** A double's bit pattern as 16 hex digits: the pin is identity. */
@@ -200,8 +199,7 @@ TEST(Golden, PredictExplainAndModelBytes)
     fp.numTrees = 50;
     ml::RandomForestRegressor forest(fp);
     forest.fit(raw);
-    EXPECT_EQ(hashDoubles(ml::CompiledForest(forest).predict(raw)),
-              kForestBatchHash);
+    EXPECT_EQ(hashDoubles(forest.predict(raw)), kForestBatchHash);
 }
 
 TEST(Golden, CampaignTracesAreByteIdentical)

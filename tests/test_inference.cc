@@ -1,9 +1,10 @@
-/** @file Compiled-inference equivalence suite: the SoA engines must be
- * bit-identical to the node-walk oracle — fuzzed over random
- * trees/forests and probe vectors (including degenerate single-leaf
- * trees, probes placed exactly on split thresholds and NaN features),
- * across every batch length from 1 to 700 rows, at several thread
- * counts, and on the real campaign dataset. */
+/** @file Inference suite: the tree's batch walk, leaf lookup and
+ * decision path agree with its one-sample predict() bit for bit —
+ * fuzzed over random trees and probe vectors (including degenerate
+ * single-leaf trees, probes placed exactly on split thresholds and NaN
+ * features), across every batch length from 1 to 700 rows — and the
+ * predictor's batched entry points agree with per-row prediction on
+ * the real campaign. */
 
 #include <gtest/gtest.h>
 
@@ -12,10 +13,7 @@
 #include <span>
 #include <vector>
 
-#include "common/log.h"
-#include "common/parallel.h"
 #include "common/rng.h"
-#include "ml/compiled_tree.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "predictor/data_collection.h"
@@ -45,56 +43,17 @@ randomDataset(Rng& rng, std::size_t rows, std::size_t features,
     return d;
 }
 
-/**
- * Probe vectors for a fitted tree: random points plus, for every
- * internal node, a point sitting exactly ON the node's threshold in
- * the node's feature (the <= boundary both engines must route the
- * same way).
- */
-std::vector<std::vector<double>>
-probesFor(const ml::DecisionTreeRegressor& tree, Rng& rng,
-          std::size_t features, int random_probes)
-{
-    std::vector<std::vector<double>> probes;
-    for (int p = 0; p < random_probes; ++p) {
-        std::vector<double> x;
-        for (std::size_t f = 0; f < features; ++f)
-            x.push_back(rng.uniform(-12.0, 12.0));
-        probes.push_back(std::move(x));
-    }
-    for (std::size_t i = 0; i < tree.nodeCount(); ++i) {
-        const auto v = tree.nodeView(i);
-        if (v.leaf)
-            continue;
-        std::vector<double> x;
-        for (std::size_t f = 0; f < features; ++f)
-            x.push_back(rng.uniform(-12.0, 12.0));
-        x[static_cast<std::size_t>(v.feature)] = v.threshold;
-        probes.push_back(std::move(x));
-    }
-    return probes;
-}
-
-std::vector<double>
-flatten(const std::vector<std::vector<double>>& rows)
-{
-    std::vector<double> flat;
-    for (const auto& row : rows)
-        flat.insert(flat.end(), row.begin(), row.end());
-    return flat;
-}
-
-/** Longest batch the fuzz sweeps: past two 256-row forest chunks. */
+/** Longest batch the fuzz sweeps. */
 constexpr std::size_t kMaxBatchRows = 700;
 
 /**
  * A row-major probe batch of @p rows rows: random points, each with
- * one feature set exactly ON the threshold of a random node of a
- * random tree in @p trees (the <= boundary), and a NaN feature in
- * every 13th row (NaN fails <=, so it must route right).
+ * one feature set exactly ON the threshold of a random node of
+ * @p tree (the <= boundary), and a NaN feature in every 13th row (NaN
+ * fails <=, so it must route right).
  */
 std::vector<double>
-probeBatch(Rng& rng, std::span<const ml::DecisionTreeRegressor> trees,
+probeBatch(Rng& rng, const ml::DecisionTreeRegressor& tree,
            std::size_t features, std::size_t rows)
 {
     std::vector<double> flat;
@@ -102,8 +61,6 @@ probeBatch(Rng& rng, std::span<const ml::DecisionTreeRegressor> trees,
     for (std::size_t i = 0; i < rows * features; ++i)
         flat.push_back(rng.uniform(-12.0, 12.0));
     for (std::size_t r = 0; r < rows; ++r) {
-        const auto& tree = trees[static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<int>(trees.size()) - 1))];
         const auto v = tree.nodeView(static_cast<std::size_t>(
             rng.uniformInt(0, static_cast<int>(tree.nodeCount()) - 1)));
         if (!v.leaf)
@@ -118,43 +75,20 @@ probeBatch(Rng& rng, std::span<const ml::DecisionTreeRegressor> trees,
     return flat;
 }
 
-/**
- * predictBatch over the first n rows of @p flat must equal @p oracle
- * bit for bit, for every n in @p lengths. Lengths 1..700 cover every
- * 32/16/8/4/2/1 walk block, the backward-overlapping partial block
- * and multi-chunk forest batches.
- */
-template <typename Engine>
-void
-expectBatchesMatch(const Engine& compiled, const std::vector<double>& flat,
-                   std::size_t features, const std::vector<double>& oracle,
-                   std::span<const std::size_t> lengths)
+/** The node the decision path of @p x ends on (walked by hand from the
+ * path's last step). */
+int
+pathEnd(const ml::DecisionTreeRegressor& tree, std::span<const double> x)
 {
-    std::vector<double> out;
-    for (std::size_t n : lengths) {
-        out.assign(n, 0.0);
-        compiled.predictBatch(std::span(flat).first(n * features),
-                              features, out);
-        ASSERT_EQ(0, std::memcmp(out.data(), oracle.data(),
-                                 n * sizeof(double)))
-            << "batch of " << n << " rows";
-    }
+    const auto path = tree.decisionPath(x);
+    if (path.empty())
+        return 0;
+    const auto last = tree.nodeView(
+        static_cast<std::size_t>(path.back().nodeId));
+    return path.back().wentLeft ? last.left : last.right;
 }
 
-/** Every length 1..kMaxBatchRows when @p sweep, else one random one. */
-std::vector<std::size_t>
-batchLengths(Rng& rng, bool sweep)
-{
-    std::vector<std::size_t> lengths;
-    if (!sweep)
-        return {static_cast<std::size_t>(
-            rng.uniformInt(1, static_cast<int>(kMaxBatchRows)))};
-    for (std::size_t n = 1; n <= kMaxBatchRows; ++n)
-        lengths.push_back(n);
-    return lengths;
-}
-
-TEST(CompiledTree, FuzzEquivalenceWithOracle)
+TEST(TreeInference, FuzzBatchLeafAndPathAgreeWithPredict)
 {
     Rng rng(2026);
     for (int trial = 0; trial < 40; ++trial) {
@@ -170,39 +104,40 @@ TEST(CompiledTree, FuzzEquivalenceWithOracle)
         params.minSamplesLeaf = static_cast<int>(rng.uniformInt(1, 3));
         ml::DecisionTreeRegressor tree(params);
         tree.fit(d);
-        const ml::CompiledTree compiled(tree);
-        ASSERT_TRUE(compiled.compiled());
-        EXPECT_EQ(compiled.nodeCount(), tree.nodeCount());
 
-        const auto probes = probesFor(tree, rng, features, 16);
-        std::vector<double> batch(probes.size());
-        compiled.predictBatch(flatten(probes), features, batch);
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-            const double oracle = tree.predict(probes[p]);
-            EXPECT_EQ(oracle, compiled.predict(probes[p]));
-            EXPECT_EQ(oracle, batch[p]);
-        }
-
-        const auto flatProbes = probeBatch(
-            rng, std::span(&tree, 1), features, kMaxBatchRows);
+        const auto probes = probeBatch(rng, tree, features, kMaxBatchRows);
         std::vector<double> oracle(kMaxBatchRows);
         for (std::size_t r = 0; r < kMaxBatchRows; ++r) {
-            const auto x =
-                std::span(flatProbes).subspan(r * features, features);
+            const auto x = std::span(probes).subspan(r * features, features);
             oracle[r] = tree.predict(x);
-            ASSERT_EQ(oracle[r], compiled.predict(x)) << "row " << r;
-            ASSERT_EQ(tree.nodeView(static_cast<std::size_t>(
-                                        compiled.predictLeaf(x)))
-                          .value,
-                      oracle[r])
-                << "row " << r;
+            const int leaf = tree.predictLeaf(x);
+            ASSERT_EQ(leaf, pathEnd(tree, x)) << "row " << r;
+            const auto view = tree.nodeView(static_cast<std::size_t>(leaf));
+            ASSERT_TRUE(view.leaf) << "row " << r;
+            ASSERT_EQ(view.value, oracle[r]) << "row " << r;
         }
-        expectBatchesMatch(compiled, flatProbes, features, oracle,
-                           batchLengths(rng, trial % 4 == 0));
+        // Every prefix length on some trials, one random one on the
+        // rest: the batch walk must not depend on the batch's size.
+        std::vector<std::size_t> lengths;
+        if (trial % 4 == 0)
+            for (std::size_t n = 1; n <= kMaxBatchRows; ++n)
+                lengths.push_back(n);
+        else
+            lengths.push_back(static_cast<std::size_t>(
+                rng.uniformInt(1, static_cast<int>(kMaxBatchRows))));
+        std::vector<double> out;
+        for (std::size_t n : lengths) {
+            out.assign(n, 0.0);
+            tree.predictBatch(std::span(probes).first(n * features),
+                              features, out);
+            ASSERT_EQ(0, std::memcmp(out.data(), oracle.data(),
+                                     n * sizeof(double)))
+                << "batch of " << n << " rows";
+        }
     }
 }
 
-TEST(CompiledTree, SingleLeafTree)
+TEST(TreeInference, SingleLeafTree)
 {
     Rng rng(7);
     const auto d = randomDataset(rng, 5, 3, /*flat=*/true);
@@ -210,126 +145,19 @@ TEST(CompiledTree, SingleLeafTree)
     tree.fit(d);
     ASSERT_EQ(tree.nodeCount(), 1u);
 
-    const ml::CompiledTree compiled(tree);
-    EXPECT_EQ(compiled.steps(), 0);
     const std::vector<double> x{0.0, 1.0, 2.0};
-    EXPECT_EQ(tree.predict(x), compiled.predict(x));
+    EXPECT_EQ(tree.predictLeaf(x), 0);
+    EXPECT_TRUE(tree.decisionPath(x).empty());
     std::vector<double> out(2);
     const std::vector<double> flat{0.0, 1.0, 2.0, 3.0, 4.0, 5.0};
-    compiled.predictBatch(flat, 3, out);
+    tree.predictBatch(flat, 3, out);
     EXPECT_EQ(out[0], tree.predict(x));
     EXPECT_EQ(out[1], out[0]);
 }
 
-TEST(CompiledTree, RejectsUntrainedAndBadShapes)
-{
-    EXPECT_THROW(ml::CompiledTree{ml::DecisionTreeRegressor{}},
-                 FatalError);
-
-    const ml::CompiledTree empty;
-    EXPECT_FALSE(empty.compiled());
-    EXPECT_THROW(empty.predict(std::vector<double>{1.0}), FatalError);
-
-    Rng rng(11);
-    const auto d = randomDataset(rng, 20, 2);
-    ml::DecisionTreeRegressor tree;
-    tree.fit(d);
-    const ml::CompiledTree compiled(tree);
-    std::vector<double> out(3);
-    const std::vector<double> flat{1.0, 2.0, 3.0, 4.0};  // not 3 rows x 2
-    EXPECT_THROW(compiled.predictBatch(flat, 2, out), FatalError);
-}
-
-TEST(CompiledForest, FuzzEquivalenceWithOracle)
-{
-    Rng rng(424242);
-    for (int trial = 0; trial < 12; ++trial) {
-        const auto rows =
-            static_cast<std::size_t>(rng.uniformInt(6, 60));
-        const auto features =
-            static_cast<std::size_t>(rng.uniformInt(1, 6));
-        const auto d = randomDataset(rng, rows, features);
-
-        ml::RandomForestParams params;
-        params.numTrees = static_cast<int>(rng.uniformInt(1, 12));
-        params.tree.maxDepth = static_cast<int>(rng.uniformInt(1, 7));
-        params.seed = 1000 + static_cast<std::uint64_t>(trial);
-        ml::RandomForestRegressor forest(params);
-        forest.fit(d);
-        const ml::CompiledForest compiled(forest);
-        EXPECT_EQ(compiled.treeCount(), forest.treeCount());
-
-        std::vector<std::vector<double>> probes;
-        for (int p = 0; p < 24; ++p) {
-            std::vector<double> x;
-            for (std::size_t f = 0; f < features; ++f)
-                x.push_back(rng.uniform(-12.0, 12.0));
-            probes.push_back(std::move(x));
-        }
-        std::vector<double> batch(probes.size());
-        compiled.predictBatch(flatten(probes), features, batch);
-        for (std::size_t p = 0; p < probes.size(); ++p) {
-            const double oracle = forest.predict(probes[p]);
-            EXPECT_EQ(oracle, compiled.predict(probes[p]));
-            EXPECT_EQ(oracle, batch[p]);
-        }
-        // The dataset overloads agree with the oracle too.
-        EXPECT_EQ(forest.predict(d), compiled.predict(d));
-
-        const auto flatProbes =
-            probeBatch(rng, forest.trees(), features, kMaxBatchRows);
-        std::vector<double> oracle(kMaxBatchRows);
-        std::vector<double> votes;
-        for (std::size_t r = 0; r < kMaxBatchRows; ++r) {
-            const auto x =
-                std::span(flatProbes).subspan(r * features, features);
-            oracle[r] = forest.predict(x);
-            ASSERT_EQ(oracle[r], compiled.predict(x)) << "row " << r;
-            ASSERT_EQ(oracle[r], compiled.predictVotes(x, votes))
-                << "row " << r;
-        }
-        expectBatchesMatch(compiled, flatProbes, features, oracle,
-                           batchLengths(rng, trial % 4 == 0));
-    }
-}
-
-TEST(CompiledForest, BatchMatchesSingleAcrossThreadCounts)
-{
-    Rng rng(55);
-    // Enough rows to span several parallel chunks (chunk = 256 rows).
-    const auto d = randomDataset(rng, 1200, 5);
-    ml::RandomForestParams params;
-    params.numTrees = 10;
-    ml::RandomForestRegressor forest(params);
-    forest.fit(d);
-    const ml::CompiledForest compiled(forest);
-    const ml::CompiledTree compiledTree(forest.trees().front());
-
-    std::vector<double> single(d.size());
-    std::vector<double> singleTree(d.size());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-        single[i] = compiled.predict(d.row(i));
-        singleTree[i] = compiledTree.predict(d.row(i));
-    }
-
-    const auto flat = d.toRowMajor();
-    for (int threads : {1, 2, parallel::maxThreads()}) {
-        parallel::setMaxThreads(threads);
-        std::vector<double> batch(d.size());
-        compiled.predictBatch(flat, d.numFeatures(), batch);
-        EXPECT_EQ(batch, single) << "forest @ threads=" << threads;
-
-        std::vector<double> treeBatch(d.size());
-        compiledTree.predictBatch(flat, d.numFeatures(), treeBatch);
-        EXPECT_EQ(treeBatch, singleTree)
-            << "tree @ threads=" << threads;
-    }
-    parallel::setMaxThreads(0);  // restore the environment default
-}
-
-/** The real campaign: compiled engines must reproduce the node walk
- * bit for bit on every measured data point. */
-TEST(CompiledInference, CampaignDatasetPinned)
+/** The real campaign: every tree and forest entry point reproduces
+ * the one-sample walk bit for bit on every measured data point. */
+TEST(CampaignInference, CampaignDatasetPinned)
 {
     predictor::DataCollector collector;
     const auto points = collector.collectAll(
@@ -338,15 +166,20 @@ TEST(CompiledInference, CampaignDatasetPinned)
 
     ml::DecisionTreeRegressor tree;
     tree.fit(raw);
-    const ml::CompiledTree compiledTree(tree);
-    EXPECT_EQ(tree.predict(raw), compiledTree.predict(raw));
+    const auto treeBatch = tree.predict(raw);
+    std::vector<double> flatOut(raw.size());
+    tree.predictBatch(raw.toRowMajor(), raw.numFeatures(), flatOut);
+    EXPECT_EQ(treeBatch, flatOut);
 
     ml::RandomForestParams fp;
     fp.numTrees = 50;
     ml::RandomForestRegressor forest(fp);
     forest.fit(raw);
-    const ml::CompiledForest compiledForest(forest);
-    EXPECT_EQ(forest.predict(raw), compiledForest.predict(raw));
+    const auto forestBatch = forest.predict(raw);
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+        EXPECT_EQ(treeBatch[i], tree.predict(raw.row(i)));
+        EXPECT_EQ(forestBatch[i], forest.predict(raw.row(i)));
+    }
 
     // The predictor's batched entry points agree with its
     // per-point predictions (and with each other).
@@ -366,9 +199,39 @@ TEST(CompiledInference, CampaignDatasetPinned)
     }
 }
 
+/** MultiAppPredictor::predictBatch over every length 1..700 of a query
+ * list drawn from the campaign (with repeats) equals per-row predict()
+ * bit for bit. */
+TEST(CampaignInference, PredictorBatchLengthsMatchPerRow)
+{
+    predictor::DataCollector collector;
+    const auto points = collector.collectAll(
+        predictor::DataCollector::campaign91());
+    predictor::MultiAppPredictor model;
+    model.train(points);
+
+    Rng rng(91);
+    std::vector<predictor::BagQuery> queries;
+    std::vector<double> single;
+    for (std::size_t i = 0; i < kMaxBatchRows; ++i) {
+        const auto& p = points[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(points.size()) - 1))];
+        queries.push_back({p.a, p.b, p.fairness});
+        single.push_back(model.predict(p.a, p.b, p.fairness));
+    }
+    for (std::size_t n = 1; n <= kMaxBatchRows; ++n) {
+        const std::vector<predictor::BagQuery> prefix(
+            queries.begin(), queries.begin() + static_cast<long>(n));
+        const auto batch = model.predictBatch(prefix);
+        ASSERT_EQ(0, std::memcmp(batch.data(), single.data(),
+                                 n * sizeof(double)))
+            << "batch of " << n << " queries";
+    }
+}
+
 /** Batched scheduler scoring must pick the same pairings as per-bag
  * prediction. */
-TEST(CompiledInference, SchedulerBatchedScoringMatchesPredictBag)
+TEST(CampaignInference, SchedulerBatchedScoringMatchesPredictBag)
 {
     predictor::DataCollector collector;
     const auto points = collector.collectAll(
