@@ -11,8 +11,9 @@
  *   mapp_cli trace SIFT 40 <out.csv>  profile one workload and dump its
  *                                     phase trace
  *   mapp_cli tree                     print the trained decision tree
- *   mapp_cli report <metrics.json> [predictions.jsonl|-] [trace.json|-]
+ *   mapp_cli report <metrics.json> [predictions.jsonl|-]
  *                                     render a markdown run report
+ *                                     (phase tree, latencies, errors)
  *                                     from a previous run's sidecars
  *   mapp_cli cache stats|clear|warm   inspect, empty, or pre-populate
  *                                     the persistent artifact cache
@@ -38,7 +39,6 @@
  * Observability flags (valid before or after the command):
  *   --trace-out=<file>        record a Chrome-trace JSON of the run
  *                             (open in chrome://tracing or Perfetto)
- *   --timeline-out=<file>     plain-text timeline dump of the events
  *   --metrics-out=<file>      write the metrics registry JSON at exit
  *   --metrics-prom-out=<file> same registry, Prometheus text format
  *   --predictions-out=<file>  per-prediction provenance JSONL (enables
@@ -67,7 +67,6 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/report.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
@@ -90,7 +89,7 @@ usage()
                  "  mapp_cli trace <BENCH> <BATCH> <out.csv>\n"
                  "  mapp_cli tree\n"
                  "  mapp_cli report <metrics.json> "
-                 "[predictions.jsonl|-] [trace.json|-]\n"
+                 "[predictions.jsonl|-]\n"
                  "  mapp_cli cache stats|clear|warm\n"
                  "  mapp_cli serve [--socket=<path> | --stdin] "
                  "[--queue-rows=<n>] [--batch-rows=<n>] "
@@ -102,7 +101,6 @@ usage()
                  "artifact cache for this run\n"
                  "  --trace-out=<file>     Chrome-trace JSON "
                  "(chrome://tracing, Perfetto)\n"
-                 "  --timeline-out=<file>  plain-text event timeline\n"
                  "  --metrics-out=<file>   metrics registry JSON\n"
                  "  --metrics-prom-out=<file>  Prometheus text "
                  "exposition of the registry\n"
@@ -129,7 +127,6 @@ struct ServeFlags
 struct ObsOptions
 {
     std::string traceOut;
-    std::string timelineOut;
     std::string metricsOut;
     std::string metricsPromOut;
     std::string predictionsOut;
@@ -138,8 +135,8 @@ struct ObsOptions
 };
 
 /**
- * Strip --trace-out/--timeline-out/--metrics-out/--log-level from the
- * argument list and apply them. @return std::nullopt on a bad flag.
+ * Strip the observability, cache and serve flags from the argument
+ * list and apply them. @return std::nullopt on a bad flag.
  */
 std::optional<ObsOptions>
 extractObsOptions(std::vector<std::string>& args)
@@ -156,8 +153,6 @@ extractObsOptions(std::vector<std::string>& args)
         };
         if (auto v = flagValue("--trace-out=")) {
             opts.traceOut = *v;
-        } else if (auto v = flagValue("--timeline-out=")) {
-            opts.timelineOut = *v;
         } else if (auto v = flagValue("--metrics-out=")) {
             opts.metricsOut = *v;
         } else if (auto v = flagValue("--metrics-prom-out=")) {
@@ -243,7 +238,7 @@ extractObsOptions(std::vector<std::string>& args)
         }
     }
     args = std::move(rest);
-    if (!opts.traceOut.empty() || !opts.timelineOut.empty())
+    if (!opts.traceOut.empty())
         obs::tracer().setEnabled(true);
     if (!opts.predictionsOut.empty()) {
         obs::predictionLog().setSamplePeriod(
@@ -262,12 +257,6 @@ writeObsOutputs(const ObsOptions& opts)
             inform("wrote trace to " + opts.traceOut);
         else
             warn("failed to write trace to " + opts.traceOut);
-    }
-    if (!opts.timelineOut.empty()) {
-        if (obs::tracer().writeTextTimeline(opts.timelineOut))
-            inform("wrote timeline to " + opts.timelineOut);
-        else
-            warn("failed to write timeline to " + opts.timelineOut);
     }
     if (!opts.metricsOut.empty()) {
         if (obs::defaultRegistry().writeJson(opts.metricsOut))
@@ -293,9 +282,11 @@ writeObsOutputs(const ObsOptions& opts)
                  opts.predictionsOut);
     }
     if (logLevel() >= LogLevel::Verbose) {
-        const std::string profile = obs::pipelineProfiler().toText();
+        const std::string profile =
+            obs::renderPhaseTree(obs::defaultRegistry().snapshot());
         if (!profile.empty())
-            verbose("pipeline phase profile:\n" + profile);
+            verbose("pipeline phase profile (seconds summed over "
+                    "lanes):\n" + profile);
     }
 }
 
@@ -426,8 +417,6 @@ cmdReport(const std::vector<std::string>& args)
     inputs.metricsPath = args[1];
     if (args.size() > 2 && args[2] != "-")
         inputs.predictionsPath = args[2];
-    if (args.size() > 3 && args[3] != "-")
-        inputs.tracePath = args[3];
     const auto report = obs::renderRunReport(inputs);
     if (!report.ok()) {
         std::fprintf(stderr, "error: %s\n",
@@ -580,7 +569,7 @@ main(int argc, char** argv)
             status = cmdTrace(args[1], args[2], args[3]);
         else if (cmd == "tree" && n == 1)
             status = cmdTree();
-        else if (cmd == "report" && n >= 2 && n <= 4)
+        else if (cmd == "report" && n >= 2 && n <= 3)
             status = cmdReport(args);
         else if (cmd == "cache" && n == 2)
             status = cmdCache(args[1]);

@@ -7,6 +7,7 @@
 
 #include "obs/audit.h"
 #include "obs/metrics.h"
+#include "obs/timer.h"
 #include "obs/trace.h"
 
 namespace mapp::parallel {
@@ -60,16 +61,6 @@ setMaxThreads(int threads)
 {
     gMaxThreadsOverride.store(threads > 0 ? threads : 0,
                               std::memory_order_relaxed);
-}
-
-bool
-enabled()
-{
-#ifdef MAPP_PARALLEL_ENABLED
-    return maxThreads() > 1;
-#else
-    return false;
-#endif
 }
 
 ThreadPool::ThreadPool(int workers)
@@ -184,8 +175,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)>& body)
     if (n == 0)
         return;
 
-    const auto lanes =
-        enabled() ? static_cast<std::size_t>(maxThreads()) : 1;
+    const auto lanes = static_cast<std::size_t>(maxThreads());
     if (lanes <= 1 || n == 1 ||
         gPoolRetired.load(std::memory_order_relaxed)) {
         for (std::size_t i = 0; i < n; ++i)
@@ -203,7 +193,10 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)>& body)
     };
     auto state = std::make_shared<SharedState>();
 
-    auto runLane = [state, n, &body] {
+    // Every lane runs under the caller's phase path, so phases entered
+    // in the body nest under the caller's at any lane count.
+    auto runLane = [state, n, &body, path = obs::currentPhasePath()] {
+        const obs::PhasePathScope phases(path);
         for (;;) {
             const std::size_t i =
                 state->next.fetch_add(1, std::memory_order_relaxed);

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "obs/json_reader.h"
-#include "obs/trace.h"
+#include "obs/timer.h"
 
 namespace mapp::obs {
 
@@ -65,6 +65,25 @@ schemaError(const std::string& label, const std::string& message)
 // ---------------------------------------------------------------------
 // Metrics sidecar -> RegistrySnapshot
 
+/**
+ * @p value as an event count: an integral number in [0, 2^64). A
+ * negative, fractional, non-finite or too large value (whose cast to
+ * uint64_t would be undefined) is a located Schema error naming
+ * @p what.
+ */
+Result<std::uint64_t>
+countFromJson(const JsonValue& value, const std::string& what,
+              const std::string& label)
+{
+    constexpr double kTwoTo64 = 18446744073709551616.0;
+    const double v =
+        value.numberOr(std::numeric_limits<double>::quiet_NaN());
+    if (!(v >= 0.0 && v < kTwoTo64) || std::floor(v) != v)
+        return Result<std::uint64_t>(schemaError(
+            label, what + " is not a non-negative integer count"));
+    return static_cast<std::uint64_t>(v);
+}
+
 Result<HistogramSnapshot>
 histogramFromJson(const std::string& name, const JsonValue& value,
                   const std::string& label)
@@ -74,8 +93,13 @@ histogramFromJson(const std::string& name, const JsonValue& value,
             label, "histogram '" + name + "' is not an object"));
     HistogramSnapshot h;
     h.name = name;
-    h.count = static_cast<std::uint64_t>(
-        value.memberNumberOr("count", 0.0));
+    if (const JsonValue* count = value.find("count")) {
+        auto n = countFromJson(*count, "histogram '" + name + "' count",
+                               label);
+        if (!n.ok())
+            return Result<HistogramSnapshot>(n.error());
+        h.count = n.value();
+    }
     h.sum = value.memberNumberOr("sum", 0.0);
     const JsonValue* bounds = value.find("bounds");
     const JsonValue* buckets = value.find("buckets");
@@ -88,9 +112,13 @@ histogramFromJson(const std::string& name, const JsonValue& value,
     for (const auto& b : bounds->items())
         h.bounds.push_back(b.numberOr(
             std::numeric_limits<double>::quiet_NaN()));
-    for (const auto& c : buckets->items())
-        h.counts.push_back(
-            static_cast<std::uint64_t>(c.numberOr(0.0)));
+    for (const auto& c : buckets->items()) {
+        auto n = countFromJson(c, "histogram '" + name + "' bucket",
+                               label);
+        if (!n.ok())
+            return Result<HistogramSnapshot>(n.error());
+        h.counts.push_back(n.value());
+    }
     if (h.counts.size() != h.bounds.size() + 1)
         return Result<HistogramSnapshot>(schemaError(
             label, "histogram '" + name +
@@ -114,10 +142,13 @@ snapshotFromJson(const std::string& text, const std::string& label)
     RegistrySnapshot snap;
     if (const JsonValue* counters = root.find("counters");
         counters != nullptr && counters->isObject()) {
-        for (const auto& [name, value] : counters->members())
-            snap.counters.emplace_back(
-                name,
-                static_cast<std::uint64_t>(value.numberOr(0.0)));
+        for (const auto& [name, value] : counters->members()) {
+            auto n = countFromJson(value, "counter '" + name + "'",
+                                   label);
+            if (!n.ok())
+                return Result<RegistrySnapshot>(n.error());
+            snap.counters.emplace_back(name, n.value());
+        }
     }
     if (const JsonValue* gauges = root.find("gauges");
         gauges != nullptr && gauges->isObject()) {
@@ -145,104 +176,6 @@ snapshotFromJson(const std::string& text, const std::string& label)
 }
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Phase tree from the Chrome-trace sidecar
-
-struct PhaseNode
-{
-    std::string name;
-    double seconds = 0.0;
-    std::uint64_t count = 0;
-    std::vector<PhaseNode> children;
-};
-
-PhaseNode&
-childOf(PhaseNode& parent, const std::string& name)
-{
-    for (auto& child : parent.children)
-        if (child.name == name)
-            return child;
-    parent.children.push_back(PhaseNode{name, 0.0, 0, {}});
-    return parent.children.back();
-}
-
-/**
- * Reconstruct the pipeline phase tree from the trace's pid-1 Complete
- * spans: sort by start time and nest by interval containment. Spans
- * recorded concurrently from pool workers overlap instead of nesting;
- * containment simply roots them at the top level, matching how the
- * live PhaseProfiler treats worker phases.
- */
-PhaseNode
-phaseTreeFromTrace(const JsonValue& doc)
-{
-    struct Span
-    {
-        std::string name;
-        double ts = 0.0;
-        double end = 0.0;
-    };
-    std::vector<Span> spans;
-    if (const JsonValue* events = doc.find("traceEvents");
-        events != nullptr && events->isArray()) {
-        for (const auto& e : events->items()) {
-            if (!e.isObject())
-                continue;
-            const JsonValue* ph = e.find("ph");
-            if (ph == nullptr || ph->text() != "X")
-                continue;
-            if (static_cast<int>(e.memberNumberOr("pid", -1.0)) !=
-                kPipelineTrackPid)
-                continue;
-            Span span;
-            if (const JsonValue* name = e.find("name"))
-                span.name = name->text();
-            span.ts = e.memberNumberOr("ts", 0.0);
-            span.end = span.ts + e.memberNumberOr("dur", 0.0);
-            spans.push_back(std::move(span));
-        }
-    }
-    std::stable_sort(spans.begin(), spans.end(),
-                     [](const Span& a, const Span& b) {
-                         return a.ts < b.ts;
-                     });
-
-    PhaseNode root;
-    struct Open
-    {
-        PhaseNode* node;
-        double ts;
-        double end;
-    };
-    std::vector<Open> stack;
-    constexpr double kEpsUs = 0.5;
-    for (const Span& span : spans) {
-        while (!stack.empty() &&
-               !(span.ts + kEpsUs >= stack.back().ts &&
-                 span.end <= stack.back().end + kEpsUs)) {
-            stack.pop_back();
-        }
-        PhaseNode& parent =
-            stack.empty() ? root : *stack.back().node;
-        PhaseNode& node = childOf(parent, span.name);
-        node.seconds += (span.end - span.ts) / 1e6;
-        node.count += 1;
-        stack.push_back(Open{&node, span.ts, span.end});
-    }
-    return root;
-}
-
-void
-renderPhaseNode(std::string& out, const PhaseNode& node, int depth)
-{
-    for (int i = 0; i < depth; ++i)
-        out += "  ";
-    out += "- `" + node.name + "` — " + fmtMs(node.seconds) + " ×" +
-           std::to_string(node.count) + "\n";
-    for (const auto& child : node.children)
-        renderPhaseNode(out, child, depth + 1);
-}
 
 // ---------------------------------------------------------------------
 // Prediction provenance from the JSONL sidecar
@@ -311,14 +244,40 @@ absErrorPercent(const PredictionRow& row)
 // Section renderers
 
 void
+renderPhaseNode(std::string& out, const PhaseNode& node, int depth)
+{
+    for (int i = 0; i < depth; ++i)
+        out += "  ";
+    out += "- `" + node.name + "` — " + fmtMs(node.seconds) + " ×" +
+           std::to_string(node.count) + "\n";
+    for (const auto& child : node.children)
+        renderPhaseNode(out, child, depth + 1);
+}
+
+void
+renderPhaseSection(std::string& out, const RegistrySnapshot& snap)
+{
+    out += "## Phase tree\n\n";
+    const std::string phases = renderPhaseTree(snap);
+    if (phases.empty()) {
+        out += "(no pipeline phases in the metrics sidecar)\n\n";
+        return;
+    }
+    out += "Seconds are summed over lanes; ×N counts entries.\n\n" +
+           phases + "\n";
+}
+
+void
 renderLatencySection(std::string& out, const RegistrySnapshot& snap)
 {
     out += "## Latency percentiles\n\n";
-    // The error-percentage histograms have their own section below;
-    // repeating them here as "latency" would only mislead.
+    // The phase histograms and the error-percentage histograms have
+    // their own sections; repeating them here as "latency" would only
+    // mislead.
     std::vector<const HistogramSnapshot*> shown;
     for (const auto& h : snap.histograms)
-        if (h.name.rfind("predictor.error.", 0) != 0)
+        if (!h.name.starts_with(kPhasePrefix) &&
+            !h.name.starts_with("predictor.error."))
             shown.push_back(&h);
     if (shown.empty()) {
         out += "(no histograms in the metrics sidecar)\n\n";
@@ -471,6 +430,15 @@ renderCountersSection(std::string& out, const RegistrySnapshot& snap)
 
 }  // namespace
 
+std::string
+renderPhaseTree(const RegistrySnapshot& snapshot)
+{
+    std::string out;
+    for (const auto& phase : phaseTree(snapshot).children)
+        renderPhaseNode(out, phase, 0);
+    return out;
+}
+
 Result<std::string>
 renderRunReport(const RunReportInputs& inputs)
 {
@@ -508,34 +476,9 @@ renderRunReport(const RunReportInputs& inputs)
                    " malformed lines skipped";
         out += "\n";
     }
-
-    bool haveTrace = false;
-    PhaseNode phaseRoot;
-    if (!inputs.tracePath.empty()) {
-        auto text = readFile(inputs.tracePath);
-        if (!text.ok())
-            return Result<std::string>(text.error());
-        auto doc = parseJson(text.value(), inputs.tracePath);
-        if (!doc.ok())
-            return Result<std::string>(doc.error());
-        phaseRoot = phaseTreeFromTrace(doc.value());
-        haveTrace = true;
-        out += "- trace: `" + inputs.tracePath + "`\n";
-    }
     out += "\n";
 
-    out += "## Phase tree\n\n";
-    if (!haveTrace) {
-        out += "(no trace sidecar given — rerun with "
-               "`--trace-out=<file>`)\n\n";
-    } else if (phaseRoot.children.empty()) {
-        out += "(the trace has no pipeline spans)\n\n";
-    } else {
-        for (const auto& child : phaseRoot.children)
-            renderPhaseNode(out, child, 0);
-        out += "\n";
-    }
-
+    renderPhaseSection(out, snap);
     renderLatencySection(out, snap);
     renderQualitySection(out, snap);
     renderTopErrorSection(out, predictions, havePredictions);

@@ -2,10 +2,11 @@
  * @file
  * The run-report generator behind `mapp_cli report`: consumes the
  * sidecar files a run leaves behind — the metrics registry JSON
- * (`--metrics-out`), the prediction provenance JSONL
- * (`--predictions-out`) and the Chrome trace (`--trace-out`) — and
- * renders one self-contained markdown document: the pipeline phase
- * tree, latency percentiles (p50/p95/p99 from histogram snapshots),
+ * (`--metrics-out`) and the prediction provenance JSONL
+ * (`--predictions-out`) — and renders one self-contained markdown
+ * document: the pipeline phase tree (from the registry's "phase."
+ * histograms), latency percentiles (p50/p95/p99 from histogram
+ * snapshots),
  * the prediction-error distribution, the highest-error predictions
  * with their provenance, and any feature-drift flags.
  */
@@ -25,7 +26,6 @@ struct RunReportInputs
 {
     std::string metricsPath;      ///< registry JSON (required)
     std::string predictionsPath;  ///< prediction JSONL (optional)
-    std::string tracePath;        ///< Chrome-trace JSON (optional)
 };
 
 /**
@@ -35,6 +35,13 @@ struct RunReportInputs
  */
 Result<RegistrySnapshot> snapshotFromJson(const std::string& text,
                                           const std::string& label);
+
+/**
+ * The phase tree of @p snapshot (see obs::phaseTree) as a markdown
+ * list: one "- `name` — <ms> ×<count>" line per phase, children
+ * indented by two spaces; "" when no phase was entered.
+ */
+std::string renderPhaseTree(const RegistrySnapshot& snapshot);
 
 /**
  * Render the markdown run report. Fails with a located error when the

@@ -1,120 +1,54 @@
 #include "obs/timer.h"
 
-#include <cstdio>
+#include <algorithm>
 
-#include "common/log.h"
 #include "obs/trace.h"
 
 namespace mapp::obs {
 
-PhaseProfiler::Node*&
-PhaseProfiler::cursorLocked()
-{
-    const auto id = std::this_thread::get_id();
-    auto it = cursors_.find(id);
-    if (it == cursors_.end())
-        it = cursors_.emplace(id, &root_).first;
-    return it->second;
-}
-
-void
-PhaseProfiler::enter(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Node*& current = cursorLocked();
-    auto it = current->children.find(name);
-    if (it == current->children.end()) {
-        auto node = std::make_unique<Node>();
-        node->name = std::string(name);
-        node->parent = current;
-        it = current->children.emplace(node->name, std::move(node))
-                 .first;
-    }
-    current = it->second.get();
-}
-
-void
-PhaseProfiler::exit(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Node*& current = cursorLocked();
-    if (current == &root_)
-        panic("PhaseProfiler::exit: no phase entered");
-    current->seconds += seconds;
-    current->count += 1;
-    current = current->parent;
-}
-
-void
-PhaseProfiler::copyTree(const Node& from, PhaseReport& to)
-{
-    to.name = from.name;
-    to.seconds = from.seconds;
-    to.count = from.count;
-    to.children.reserve(from.children.size());
-    for (const auto& [name, child] : from.children) {
-        to.children.emplace_back();
-        copyTree(*child, to.children.back());
-    }
-}
-
-PhaseProfiler::PhaseReport
-PhaseProfiler::report() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    PhaseReport out;
-    copyTree(root_, out);
-    return out;
-}
-
 namespace {
 
+/** Joins the phase names of one path. */
+constexpr char kPhaseSeparator = '/';
+
+thread_local std::string tPhasePath;
+
+/** Drop the subtrees of @p node that hold no entered phase. */
 void
-renderReport(const PhaseProfiler::PhaseReport& node, int depth,
-             std::string& out)
+pruneUnentered(PhaseNode& node)
 {
-    if (depth >= 0) {  // skip the unnamed root
-        char line[160];
-        std::snprintf(line, sizeof(line), "%*s%-32s %12.6f s  x%llu\n",
-                      depth * 2, "", node.name.c_str(), node.seconds,
-                      static_cast<unsigned long long>(node.count));
-        out += line;
-    }
-    for (const auto& child : node.children)
-        renderReport(child, depth + 1, out);
+    for (auto& child : node.children)
+        pruneUnentered(child);
+    std::erase_if(node.children, [](const PhaseNode& child) {
+        return child.count == 0 && child.children.empty();
+    });
 }
 
 }  // namespace
 
-std::string
-PhaseProfiler::toText() const
+const std::string&
+currentPhasePath()
 {
-    std::string out;
-    renderReport(report(), -1, out);
-    return out;
+    return tPhasePath;
 }
 
-void
-PhaseProfiler::reset()
+PhasePathScope::PhasePathScope(const std::string& path)
+    : saved_(tPhasePath)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    root_.children.clear();
-    root_.seconds = 0.0;
-    root_.count = 0;
-    cursors_.clear();
+    tPhasePath = path;
 }
 
-PhaseProfiler&
-pipelineProfiler()
+PhasePathScope::~PhasePathScope()
 {
-    static PhaseProfiler instance;
-    return instance;
+    tPhasePath = std::move(saved_);
 }
 
-ScopedPhase::ScopedPhase(PhaseProfiler& profiler, std::string_view name)
-    : profiler_(profiler), name_(name)
+ScopedPhase::ScopedPhase(std::string_view name)
+    : parentLength_(tPhasePath.size())
 {
-    profiler_.enter(name_);
+    if (parentLength_ > 0)
+        tPhasePath += kPhaseSeparator;
+    tPhasePath += name;
     if (tracer().enabled())
         startUs_ = tracer().wallTimeUs();
 }
@@ -124,12 +58,51 @@ ScopedPhase::~ScopedPhase()
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - start_)
                                .count();
-    profiler_.exit(seconds);
+    std::string key(kPhasePrefix);
+    key += tPhasePath;
+    defaultRegistry().histogram(key).observe(seconds);
     Tracer& tr = tracer();
     if (tr.enabled()) {
-        tr.completeEvent(name_, "pipeline", startUs_, seconds * 1e6,
-                         kPipelineTrackPid, 0);
+        const std::size_t nameStart =
+            parentLength_ > 0 ? parentLength_ + 1 : 0;
+        tr.completeEvent(tPhasePath.substr(nameStart), "pipeline",
+                         startUs_, seconds * 1e6, kPipelineTrackPid, 0);
     }
+    tPhasePath.resize(parentLength_);
+}
+
+PhaseNode
+phaseTree(const RegistrySnapshot& snapshot)
+{
+    // The snapshot lists histograms by name, so a parent path comes
+    // before its children and siblings come in name order.
+    PhaseNode root;
+    for (const auto& h : snapshot.histograms) {
+        std::string_view path(h.name);
+        if (!path.starts_with(kPhasePrefix))
+            continue;
+        path.remove_prefix(kPhasePrefix.size());
+        PhaseNode* node = &root;
+        for (;;) {
+            const std::size_t cut = path.find(kPhaseSeparator);
+            const std::string_view name = path.substr(0, cut);
+            auto it = std::find_if(
+                node->children.begin(), node->children.end(),
+                [&](const PhaseNode& child) { return child.name == name; });
+            if (it == node->children.end()) {
+                node->children.emplace_back().name = name;
+                it = std::prev(node->children.end());
+            }
+            node = &*it;
+            if (cut == std::string_view::npos)
+                break;
+            path.remove_prefix(cut + 1);
+        }
+        node->seconds = h.sum;
+        node->count = h.count;
+    }
+    pruneUnentered(root);
+    return root;
 }
 
 }  // namespace mapp::obs

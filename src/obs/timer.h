@@ -2,12 +2,15 @@
  * @file
  * Wall-clock timing instruments built on the metrics registry.
  *
- * ScopedTimer is an RAII stopwatch feeding a Histogram; ScopedPhase
- * additionally pushes a named phase onto a hierarchical PhaseProfiler,
- * so nested scopes reconstruct the pipeline's phase tree (feature
- * extraction → fairness measurement → tree training → LOOCV) with
- * per-phase call counts and accumulated time. When the global tracer
- * is enabled, ScopedPhase also records its span on the pipeline track.
+ * ScopedTimer is an RAII stopwatch feeding a Histogram. ScopedPhase
+ * times one pipeline stage (feature extraction → fairness measurement
+ * → tree training → LOOCV) and records it in the registry under its
+ * phase path, so the registry alone holds the pipeline's phase tree:
+ * histogram "phase.campaign-collection/feature-extraction" counts the
+ * feature-extraction phases entered inside campaign-collection and
+ * sums their seconds. phaseTree() rebuilds the tree from a snapshot.
+ * When the global tracer is enabled, ScopedPhase also records its span
+ * on the pipeline track.
  */
 
 #ifndef MAPP_OBS_TIMER_H
@@ -15,12 +18,8 @@
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -65,82 +64,45 @@ class ScopedTimer
         std::chrono::steady_clock::now();
 };
 
+/** Registry histogram prefix every phase records under. */
+inline constexpr std::string_view kPhasePrefix = "phase.";
+
 /**
- * A hierarchical wall-time profile: a tree of named phases where each
- * node accumulates total seconds and entry count. enter()/exit() keep
- * a *per-thread* cursor into the shared tree; identical phase names
- * under the same parent merge. Thread-safe via one mutex — phases are
- * coarse (pipeline stages, not per-event), so contention is
- * negligible. A worker thread's first enter() roots its phase stack at
- * the top level, so phases recorded from pool workers (parallel
- * campaign collection, LOOCV folds) appear as their own top-level
- * subtrees rather than corrupting the calling thread's stack.
+ * The calling thread's current phase path: the names of the open
+ * ScopedPhases joined by '/', or "" at the top level. A parallelFor
+ * lane runs under the path of the thread that called parallelFor.
  */
-class PhaseProfiler
+const std::string& currentPhasePath();
+
+/**
+ * RAII: make @p path the calling thread's phase path for this scope
+ * and restore the previous one on exit (also when unwinding). Used by
+ * parallelFor to nest a pool lane's phases under its caller.
+ */
+class PhasePathScope
 {
   public:
-    /** Immutable copy of one profile subtree. */
-    struct PhaseReport
-    {
-        std::string name;
-        double seconds = 0.0;
-        std::uint64_t count = 0;
-        std::vector<PhaseReport> children;
-    };
+    explicit PhasePathScope(const std::string& path);
+    ~PhasePathScope();
 
-    /** Push @p name as the current phase (created if new). */
-    void enter(std::string_view name);
-
-    /** Pop the current phase, crediting it @p seconds. */
-    void exit(double seconds);
-
-    /** Copy of the whole tree (root is the unnamed top level). */
-    PhaseReport report() const;
-
-    /** Indented text rendering of report() with times and counts. */
-    std::string toText() const;
-
-    /** Drop all phases and reset the cursor. */
-    void reset();
+    PhasePathScope(const PhasePathScope&) = delete;
+    PhasePathScope& operator=(const PhasePathScope&) = delete;
 
   private:
-    struct Node
-    {
-        std::string name;
-        double seconds = 0.0;
-        std::uint64_t count = 0;
-        Node* parent = nullptr;
-        std::map<std::string, std::unique_ptr<Node>, std::less<>>
-            children;
-    };
-
-    static void copyTree(const Node& from, PhaseReport& to);
-
-    /** This thread's cursor (created at root on first use); locked. */
-    Node*& cursorLocked();
-
-    mutable std::mutex mutex_;
-    Node root_;
-    std::map<std::thread::id, Node*> cursors_;
+    std::string saved_;
 };
 
-/** The process-wide profiler of the predictor pipeline. */
-PhaseProfiler& pipelineProfiler();
-
 /**
- * RAII phase scope: enters @p name on @p profiler, exits with the
- * measured wall time, and mirrors the span onto the tracer's pipeline
- * track when tracing is enabled.
+ * RAII phase scope: appends @p name (which must not contain '/') to
+ * the thread's phase path, and on exit observes its wall time into
+ * defaultRegistry().histogram("phase." + path) and pops the name
+ * again. The span is mirrored onto the tracer's pipeline track when
+ * tracing is enabled.
  */
 class ScopedPhase
 {
   public:
-    explicit ScopedPhase(std::string_view name)
-        : ScopedPhase(pipelineProfiler(), name)
-    {
-    }
-
-    ScopedPhase(PhaseProfiler& profiler, std::string_view name);
+    explicit ScopedPhase(std::string_view name);
 
     ScopedPhase(const ScopedPhase&) = delete;
     ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -148,12 +110,27 @@ class ScopedPhase
     ~ScopedPhase();
 
   private:
-    PhaseProfiler& profiler_;
-    std::string name_;
-    double startUs_ = 0.0;  ///< tracer wall clock at entry
+    std::size_t parentLength_;  ///< path length before this phase
+    double startUs_ = 0.0;      ///< tracer wall clock at entry
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
 };
+
+/** One node of the phase tree. */
+struct PhaseNode
+{
+    std::string name;
+    double seconds = 0.0;     ///< busy time, summed over lanes
+    std::uint64_t count = 0;  ///< times the phase was entered
+    std::vector<PhaseNode> children;  ///< sorted by name
+};
+
+/**
+ * The phase tree recorded in @p snapshot's "phase." histograms. The
+ * returned root is unnamed; phases never entered since the last
+ * Registry::reset() (count 0) are left out.
+ */
+PhaseNode phaseTree(const RegistrySnapshot& snapshot);
 
 }  // namespace mapp::obs
 

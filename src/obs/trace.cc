@@ -1,9 +1,5 @@
 #include "obs/trace.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-
 #include "common/file_io.h"
 #include "obs/json_util.h"
 
@@ -201,71 +197,10 @@ Tracer::chromeTraceJson() const
     return out;
 }
 
-std::string
-Tracer::textTimeline() const
-{
-    auto events = snapshot();
-    std::stable_sort(events.begin(), events.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) {
-                         return a.tsUs < b.tsUs;
-                     });
-
-    std::string out;
-    for (const TraceEvent& e : events) {
-        if (e.kind == TraceEventKind::Metadata)
-            continue;
-        char head[96];
-        std::snprintf(head, sizeof(head), "[%12.3f us] %d/%d ",
-                      e.tsUs, e.pid, e.tid);
-        out += head;
-        switch (e.kind) {
-          case TraceEventKind::Complete: {
-            char dur[48];
-            std::snprintf(dur, sizeof(dur), " (%.3f us)", e.durUs);
-            out += "span    " + e.name + dur;
-            break;
-          }
-          case TraceEventKind::Instant:
-            out += "instant " + e.name;
-            break;
-          case TraceEventKind::Counter:
-            out += "counter " + e.name;
-            break;
-          case TraceEventKind::Metadata:
-            break;
-        }
-        if (!e.args.empty()) {
-            out += " {";
-            for (std::size_t i = 0; i < e.args.size(); ++i) {
-                if (i > 0)
-                    out += ", ";
-                out += e.args[i].key + '=';
-                if (e.args[i].numeric) {
-                    char num[32];
-                    std::snprintf(num, sizeof(num), "%g",
-                                  e.args[i].number);
-                    out += num;
-                } else {
-                    out += e.args[i].text;
-                }
-            }
-            out += '}';
-        }
-        out += '\n';
-    }
-    return out;
-}
-
 bool
 Tracer::writeChromeTrace(const std::string& path) const
 {
     return writeFileAtomic(path, chromeTraceJson());
-}
-
-bool
-Tracer::writeTextTimeline(const std::string& path) const
-{
-    return writeFileAtomic(path, textTimeline());
 }
 
 Tracer&

@@ -6,8 +6,7 @@
  * kernel phase on the simulated GPU, a pipeline stage), instant events
  * (a resource re-partition, a scheduler pairing decision) and counter
  * samples — and exports them as Chrome-trace JSON (loadable in
- * chrome://tracing or https://ui.perfetto.dev) or a plain-text
- * timeline.
+ * chrome://tracing or https://ui.perfetto.dev).
  *
  * The tracer is disabled by default; every record call checks one
  * atomic flag first, so instrumentation left in hot paths costs a
@@ -134,14 +133,8 @@ class Tracer
     /** The full Chrome-trace JSON document. */
     std::string chromeTraceJson() const;
 
-    /** A human-readable timeline, sorted by timestamp. */
-    std::string textTimeline() const;
-
     /** Write chromeTraceJson() to @p path. @return false on I/O error. */
     bool writeChromeTrace(const std::string& path) const;
-
-    /** Write textTimeline() to @p path. @return false on I/O error. */
-    bool writeTextTimeline(const std::string& path) const;
 
   private:
     void record(TraceEvent event);

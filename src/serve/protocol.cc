@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/log.h"
 #include "common/parse.h"
@@ -12,13 +13,14 @@ namespace mapp::serve {
 
 namespace {
 
+/** A well-formed request that breaks the schema: "bad_request". */
 Error
-protoError(std::string message, const std::string& label,
-           ErrorCode code = ErrorCode::Parse)
+protoError(std::string message, const std::string& label)
 {
     SourceContext context;
     context.file = label;
-    return Error(code, std::move(message), std::move(context));
+    return Error(ErrorCode::InvalidArgument, std::move(message),
+                 std::move(context));
 }
 
 Result<RequestOp>
@@ -83,8 +85,16 @@ parseRawApp(const obs::JsonValue& obj, const char* slot,
     if (const auto* app = obj.find("app");
         app != nullptr && app->kind() == obs::JsonValue::Kind::String)
         features.app = app->text();
-    features.batchSize =
-        static_cast<int>(obj.memberNumberOr("batch", 0.0));
+    if (const auto* batch = obj.find("batch")) {
+        const double v = batch->numberOr(-1.0);
+        if (!(v >= 0.0 && v <= std::numeric_limits<int>::max()) ||
+            std::floor(v) != v)
+            return protoError("query member '"s + slot +
+                                  "' 'batch' must be an integer in "
+                                  "[0, INT_MAX]",
+                              label);
+        features.batchSize = static_cast<int>(v);
+    }
     const auto requireNumber =
         [&](const char* key) -> Result<double> {
         const auto* v = obj.find(key);
@@ -212,6 +222,14 @@ requestOpName(RequestOp op)
 Result<Request>
 parseRequest(std::string_view line, const std::string& source_label)
 {
+    std::string id;
+    return parseRequest(line, source_label, id);
+}
+
+Result<Request>
+parseRequest(std::string_view line, const std::string& source_label,
+             std::string& id)
+{
     auto doc = obs::parseJson(line, source_label);
     if (!doc)
         return doc.error();
@@ -221,9 +239,12 @@ parseRequest(std::string_view line, const std::string& source_label)
                           source_label);
 
     Request request;
-    if (const auto* id = root.find("id");
-        id != nullptr && id->kind() == obs::JsonValue::Kind::String)
-        request.id = id->text();
+    if (const auto* idValue = root.find("id");
+        idValue != nullptr &&
+        idValue->kind() == obs::JsonValue::Kind::String) {
+        id = idValue->text();
+        request.id = id;
+    }
 
     const auto* op = root.find("op");
     if (op == nullptr || op->kind() != obs::JsonValue::Kind::String)

@@ -92,13 +92,24 @@ struct Request
 };
 
 /**
- * Parse one request line. Malformed JSON, an unknown op, a bad member
- * spec or a raw query with missing/non-finite fields all return a
- * located ErrorCode::Parse/InvalidArgument error — the transport turns
- * it into an "ok": false response instead of dropping the connection.
+ * Parse one request line. Malformed JSON returns a located
+ * ErrorCode::Parse error ("parse"); a well-formed line that breaks the
+ * schema — an unknown op, a bad member spec, a raw query with missing,
+ * non-finite or out-of-range fields — returns ErrorCode::InvalidArgument
+ * ("bad_request"). The transport turns either into an "ok": false
+ * response instead of dropping the connection.
  */
 Result<Request> parseRequest(std::string_view line,
                              const std::string& source_label = "client");
+
+/**
+ * parseRequest() that also stores the request's string "id" in @p id
+ * as soon as the line parses as a JSON object carrying one, so a
+ * rejected request's error response can still echo it.
+ */
+Result<Request> parseRequest(std::string_view line,
+                             const std::string& source_label,
+                             std::string& id);
 
 /** {"id",...,"ok":false,"error":code,"message":...} (no newline). */
 std::string errorResponse(const std::string& id, std::string_view code,

@@ -231,9 +231,10 @@ void
 Server::handleLine(std::string_view line,
                    const std::function<void(std::string)>& respond)
 {
-    auto parsed = parseRequest(line);
+    std::string id;
+    auto parsed = parseRequest(line, "client", id);
     if (!parsed) {
-        respond(errorResponse("",
+        respond(errorResponse(id,
                               requestErrorCode(parsed.error().code()),
                               parsed.error().toString()));
         return;
@@ -274,7 +275,6 @@ Server::handleLine(std::string_view line,
         return;
     }
     const RequestOp op = request.op;
-    const std::string id = request.id;
     service_.submit(
         std::move(rows).value(), request.deadlineMs,
         [respond, id, op](JobResult result) {

@@ -1,5 +1,6 @@
 /** @file Unit tests for the observability layer: metrics registry,
- * scoped timers, phase profiler and the Chrome-trace event tracer. */
+ * scoped timers, the registry-backed phase tree and the Chrome-trace
+ * event tracer. */
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -500,19 +502,22 @@ TEST(ScopedTimer, CancelSuppressesRecording)
     EXPECT_EQ(h.count(), 0u);
 }
 
-TEST(PhaseProfiler, BuildsHierarchyAndMergesRepeats)
+TEST(Phases, TreeRebuiltFromPhaseHistograms)
 {
-    obs::PhaseProfiler profiler;
+    obs::Registry reg;
     for (int i = 0; i < 2; ++i) {
-        profiler.enter("loocv");
-        profiler.enter("tree-training");
-        profiler.exit(0.25);
-        profiler.exit(1.0);
+        reg.histogram("phase.loocv").observe(1.0);
+        reg.histogram("phase.loocv/tree-training").observe(0.25);
     }
+    reg.histogram("phase.cache-load").observe(0.5);
+    reg.histogram("loocv.seconds").observe(3.0);  // not a phase
 
-    const auto report = profiler.report();
-    ASSERT_EQ(report.children.size(), 1u);
-    const auto& loocv = report.children[0];
+    const auto root = obs::phaseTree(reg.snapshot());
+    EXPECT_TRUE(root.name.empty());
+    ASSERT_EQ(root.children.size(), 2u);
+    EXPECT_EQ(root.children[0].name, "cache-load");
+    EXPECT_EQ(root.children[0].count, 1u);
+    const auto& loocv = root.children[1];
     EXPECT_EQ(loocv.name, "loocv");
     EXPECT_EQ(loocv.count, 2u);
     EXPECT_DOUBLE_EQ(loocv.seconds, 2.0);
@@ -521,26 +526,54 @@ TEST(PhaseProfiler, BuildsHierarchyAndMergesRepeats)
     EXPECT_EQ(loocv.children[0].count, 2u);
     EXPECT_DOUBLE_EQ(loocv.children[0].seconds, 0.5);
 
-    const std::string text = profiler.toText();
-    EXPECT_NE(text.find("loocv"), std::string::npos);
-    EXPECT_NE(text.find("tree-training"), std::string::npos);
-
-    profiler.reset();
-    EXPECT_TRUE(profiler.report().children.empty());
+    // Registry::reset() keeps the histograms at count 0: the tree
+    // leaves them out instead of listing phases that never ran.
+    reg.reset();
+    EXPECT_TRUE(obs::phaseTree(reg.snapshot()).children.empty());
+    reg.histogram("phase.loocv/tree-training").observe(0.1);
+    const auto partial = obs::phaseTree(reg.snapshot());
+    ASSERT_EQ(partial.children.size(), 1u);  // the open parent stays
+    EXPECT_EQ(partial.children[0].count, 0u);
+    ASSERT_EQ(partial.children[0].children.size(), 1u);
+    EXPECT_EQ(partial.children[0].children[0].count, 1u);
 }
 
-TEST(PhaseProfiler, ScopedPhaseNests)
+TEST(Phases, ScopedPhaseNestsIntoTheDefaultRegistry)
 {
-    obs::PhaseProfiler profiler;
-    {
-        obs::ScopedPhase outer(profiler, "outer");
-        obs::ScopedPhase inner(profiler, "inner");
+    for (int i = 0; i < 3; ++i) {
+        const obs::ScopedPhase outer("test-outer");
+        EXPECT_EQ(obs::currentPhasePath(), "test-outer");
+        const obs::ScopedPhase inner("test-inner");
+        EXPECT_EQ(obs::currentPhasePath(), "test-outer/test-inner");
     }
-    const auto report = profiler.report();
-    ASSERT_EQ(report.children.size(), 1u);
-    EXPECT_EQ(report.children[0].name, "outer");
-    ASSERT_EQ(report.children[0].children.size(), 1u);
-    EXPECT_EQ(report.children[0].children[0].name, "inner");
+    EXPECT_EQ(obs::currentPhasePath(), "");
+    const auto snap = obs::defaultRegistry().snapshot();
+    const auto* outer = snap.findHistogram("phase.test-outer");
+    const auto* inner =
+        snap.findHistogram("phase.test-outer/test-inner");
+    ASSERT_NE(outer, nullptr);
+    ASSERT_NE(inner, nullptr);
+    EXPECT_EQ(outer->count, 3u);
+    EXPECT_EQ(inner->count, 3u);
+    EXPECT_GE(outer->sum, inner->sum);
+}
+
+TEST(Phases, UnwindingPopsThePath)
+{
+    try {
+        const obs::ScopedPhase outer("test-unwind");
+        const obs::ScopedPhase inner("test-unwind-inner");
+        throw std::runtime_error("boom");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(obs::currentPhasePath(), "");
+    const obs::PhasePathScope scope("a/b");
+    EXPECT_EQ(obs::currentPhasePath(), "a/b");
+    {
+        const obs::PhasePathScope nested("c");
+        EXPECT_EQ(obs::currentPhasePath(), "c");
+    }
+    EXPECT_EQ(obs::currentPhasePath(), "a/b");
 }
 
 // ---------------------------------------------------------------------------
@@ -626,24 +659,6 @@ TEST(Tracer, WriteChromeTraceFileParsesBack)
     const JsonValue doc = JsonParser(buffer.str()).parse();
     EXPECT_EQ(doc.at("traceEvents").items.size(), 2u);
     std::remove(path.c_str());
-}
-
-TEST(Tracer, TextTimelineSortedAndAnnotated)
-{
-    obs::Tracer tracer;
-    tracer.setEnabled(true);
-    const int pid = tracer.beginTrack("track");
-    tracer.instantEvent("late", "cat", 100.0, pid, 0);
-    tracer.completeEvent("early", "cat", 1.0, 2.0, pid, 0,
-                         {obs::TraceArg::str("app", "FAST")});
-
-    const std::string text = tracer.textTimeline();
-    const auto early = text.find("early");
-    const auto late = text.find("late");
-    ASSERT_NE(early, std::string::npos);
-    ASSERT_NE(late, std::string::npos);
-    EXPECT_LT(early, late);  // sorted by timestamp despite record order
-    EXPECT_NE(text.find("app=FAST"), std::string::npos);
 }
 
 TEST(Tracer, ClearDropsEventsButKeepsEnabled)

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -132,29 +134,97 @@ TEST(ParallelConfig, MaxThreadsOverrideWins)
     EXPECT_GE(parallel::maxThreads(), 1);
 }
 
-TEST(PhaseProfiler, ConcurrentPhasesKeepPerThreadStacks)
+namespace {
+
+/** The top-level phase named @p name, or nullptr. */
+const obs::PhaseNode*
+topLevelPhase(const obs::PhaseNode& root, const std::string& name)
 {
-    obs::PhaseProfiler profiler;
-    const ThreadScope scope(4);
-    parallel::parallelFor(32, [&](std::size_t) {
-        obs::ScopedPhase outer(profiler, "outer");
-        obs::ScopedPhase inner(profiler, "inner");
-    });
-    const auto report = profiler.report();
-    // Every thread roots "outer" at the top level with "inner" below
-    // it; 32 entries total across all threads.
-    std::uint64_t outerCount = 0;
-    std::uint64_t innerCount = 0;
-    for (const auto& top : report.children) {
-        EXPECT_EQ(top.name, "outer");
-        outerCount += top.count;
-        for (const auto& child : top.children) {
-            EXPECT_EQ(child.name, "inner");
-            innerCount += child.count;
+    for (const auto& child : root.children)
+        if (child.name == name)
+            return &child;
+    return nullptr;
+}
+
+/**
+ * The phase path every pool worker holds between tasks: one task per
+ * worker, each held at a barrier until all have started, so no worker
+ * can run two of them.
+ */
+std::vector<std::string>
+workerPhasePaths()
+{
+    auto& pool = parallel::globalPool();
+    const auto workers = static_cast<std::size_t>(pool.workerCount());
+    std::vector<std::string> paths(workers);
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t started = 0;
+    std::size_t finished = 0;
+    for (std::size_t w = 0; w < workers; ++w) {
+        pool.submit([&, w] {
+            std::unique_lock<std::mutex> lock(mutex);
+            paths[w] = obs::currentPhasePath();
+            ++started;
+            cv.notify_all();
+            cv.wait(lock, [&] { return started == workers; });
+            ++finished;
+            cv.notify_all();
+        });
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return finished == workers; });
+    return paths;
+}
+
+}  // namespace
+
+TEST(PhasePath, ParallelForBodiesNestUnderTheCallerAtAnyLaneCount)
+{
+    for (const int threads : {1, 4}) {
+        const ThreadScope scope(threads);
+        obs::defaultRegistry().reset();
+        const std::string caller = "caller-" + std::to_string(threads);
+        {
+            const obs::ScopedPhase phase(caller);
+            parallel::parallelFor(32, [](std::size_t) {
+                const obs::ScopedPhase body("body");
+                const obs::ScopedPhase inner("inner");
+            });
+            // A throwing body unwinds its phases on whichever lane
+            // ran it; the caller's path survives the rethrow. Only the
+            // last index throws, so the serial loop runs all 8 too.
+            const auto failing = [](std::size_t i) {
+                const obs::ScopedPhase phase("failing");
+                if (i == 7)
+                    throw std::runtime_error("boom");
+            };
+            EXPECT_THROW(parallel::parallelFor(8, failing),
+                         std::runtime_error);
+            EXPECT_EQ(obs::currentPhasePath(), caller);
+        }
+        const auto tree =
+            obs::phaseTree(obs::defaultRegistry().snapshot());
+        EXPECT_EQ(topLevelPhase(tree, "body"), nullptr);
+        EXPECT_EQ(topLevelPhase(tree, "failing"), nullptr);
+        const auto* top = topLevelPhase(tree, caller);
+        ASSERT_NE(top, nullptr) << caller;
+        EXPECT_EQ(top->count, 1u);
+        ASSERT_EQ(top->children.size(), 2u);
+        EXPECT_EQ(top->children[0].name, "body");
+        EXPECT_EQ(top->children[0].count, 32u);
+        ASSERT_EQ(top->children[0].children.size(), 1u);
+        EXPECT_EQ(top->children[0].children[0].name, "inner");
+        EXPECT_EQ(top->children[0].children[0].count, 32u);
+        EXPECT_EQ(top->children[1].name, "failing");
+        EXPECT_EQ(top->children[1].count, 8u);
+
+        // Back between tasks, every pool worker is at the top level.
+        if (threads > 1) {
+            for (const auto& path : workerPhasePaths())
+                EXPECT_EQ(path, "");
         }
     }
-    EXPECT_EQ(outerCount, 32u);
-    EXPECT_EQ(innerCount, 32u);
 }
 
 namespace {

@@ -116,8 +116,7 @@ TEST(Registry, CachedTraceIsStable)
 
 /** Entries of the phase named @p name anywhere in @p node's subtree. */
 std::uint64_t
-phaseCount(const obs::PhaseProfiler::PhaseReport& node,
-           const std::string& name)
+phaseCount(const obs::PhaseNode& node, const std::string& name)
 {
     std::uint64_t n = node.name == name ? node.count : 0;
     for (const auto& child : node.children)
@@ -131,11 +130,13 @@ TEST(Registry, CachedTraceProfilesUnderAVisionProfilePhase)
     auto& artifacts = cache::defaultArtifactCache();
     const std::string dir = artifacts.directory();
     artifacts.setDirectory("");
-    const auto& phases = obs::pipelineProfiler();
-    const auto before = phaseCount(phases.report(), "vision-profile");
+    const auto phases = [] {
+        return obs::phaseTree(obs::defaultRegistry().snapshot());
+    };
+    const auto before = phaseCount(phases(), "vision-profile");
     cachedTrace(BenchmarkId::FaceDet, 40);  // first use: profiled
     cachedTrace(BenchmarkId::FaceDet, 40);  // memo hit: no new phase
-    EXPECT_EQ(phaseCount(phases.report(), "vision-profile"), before + 1);
+    EXPECT_EQ(phaseCount(phases(), "vision-profile"), before + 1);
     artifacts.setDirectory(dir);
 }
 

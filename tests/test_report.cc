@@ -18,7 +18,6 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/report.h"
-#include "obs/trace.h"
 
 namespace {
 
@@ -237,6 +236,60 @@ TEST(Report, SnapshotFromJsonRejectsNonSidecarDocuments)
     EXPECT_FALSE(obs::snapshotFromJson("{nope", "x").ok());
 }
 
+/**
+ * Put @p value where the sidecar reader expects a count — a counter, a
+ * histogram's count, one of its buckets — and expect each to be a
+ * Schema error naming the file: a cast of such a value to uint64_t
+ * would be undefined behaviour.
+ */
+void
+expectRejectedAsCount(const std::string& value)
+{
+    const std::string docs[] = {
+        "{\"counters\": {\"c\": " + value + "}}",
+        "{\"histograms\": {\"h\": {\"count\": " + value +
+            ", \"sum\": 0, \"bounds\": [1], \"buckets\": [0, 0]}}}",
+        "{\"histograms\": {\"h\": {\"count\": 0, \"sum\": 0, "
+        "\"bounds\": [1], \"buckets\": [0, " +
+            value + "]}}}",
+    };
+    for (const auto& doc : docs) {
+        const auto snap = obs::snapshotFromJson(doc, "m.json");
+        ASSERT_FALSE(snap.ok()) << doc;
+        EXPECT_EQ(snap.error().code(), ErrorCode::Schema) << doc;
+        EXPECT_NE(snap.error().toString().find("m.json"),
+                  std::string::npos)
+            << doc;
+    }
+}
+
+TEST(Report, SnapshotFromJsonRejectsNegativeCounts)
+{
+    expectRejectedAsCount("-1");
+}
+
+TEST(Report, SnapshotFromJsonRejectsFractionalCounts)
+{
+    expectRejectedAsCount("2.5");
+}
+
+TEST(Report, SnapshotFromJsonRejectsNonFiniteCounts)
+{
+    // The sidecar writer spells a non-finite number as null.
+    expectRejectedAsCount("null");
+}
+
+TEST(Report, SnapshotFromJsonRejectsCountsFrom2To64)
+{
+    expectRejectedAsCount("18446744073709551616");
+    expectRejectedAsCount("1e300");
+    // The largest double below 2^64 is still a count.
+    const auto big = obs::snapshotFromJson(
+        "{\"counters\": {\"c\": 18446744073709549568}}", "m.json");
+    ASSERT_TRUE(big.ok()) << big.error().message();
+    EXPECT_EQ(*big.value().findCounter("c"), 18446744073709549568ull);
+}
+
 // ---------------------------------------------------------------------------
 // The full report renderer
 
@@ -252,6 +305,12 @@ TEST(Report, RendersAllSectionsFromSidecars)
     reg.gauge("predictor.quality.mape_pct").set(7.0);
     reg.counter("predictor.quality.pairs").add(1);
     reg.gauge("predictor.drift.oor_frac.a0_gpu_time").set(0.25);
+    // Two nested pipeline phases, one entered twice.
+    reg.histogram("phase.campaign-collection").observe(0.001);
+    reg.histogram("phase.campaign-collection/feature-extraction")
+        .observe(0.0002);
+    reg.histogram("phase.campaign-collection/feature-extraction")
+        .observe(0.0002);
     const std::string metrics =
         writeTemp("report_metrics.json", reg.toJson());
 
@@ -270,29 +329,23 @@ TEST(Report, RendersAllSectionsFromSidecars)
     const std::string predictions = writeTemp(
         "report_predictions.jsonl", log.toJsonl() + "not json\n");
 
-    // Trace sidecar: two nested pipeline spans.
-    obs::Tracer tracer;
-    tracer.setEnabled(true);
-    tracer.completeEvent("campaign-collection", "pipeline", 0.0,
-                         1000.0, obs::kPipelineTrackPid, 0);
-    tracer.completeEvent("feature-extraction", "pipeline", 100.0,
-                         200.0, obs::kPipelineTrackPid, 0);
-    const std::string trace =
-        writeTemp("report_trace.json", tracer.chromeTraceJson());
-
     const auto report = obs::renderRunReport(
-        obs::RunReportInputs{metrics, predictions, trace});
+        obs::RunReportInputs{metrics, predictions});
     ASSERT_TRUE(report.ok()) << report.error().message();
     const std::string& text = report.value();
 
     EXPECT_NE(text.find("# MAPP run report"), std::string::npos);
     EXPECT_NE(text.find("## Phase tree"), std::string::npos);
-    EXPECT_NE(text.find("campaign-collection"), std::string::npos);
+    EXPECT_NE(text.find("summed over lanes"), std::string::npos);
+    EXPECT_NE(text.find("- `campaign-collection` — 1.000 ms ×1\n"),
+              std::string::npos);
     // feature-extraction nests under campaign-collection.
-    EXPECT_NE(text.find("  - `feature-extraction`"),
+    EXPECT_NE(text.find("  - `feature-extraction` — 0.400 ms ×2\n"),
               std::string::npos);
     EXPECT_NE(text.find("## Latency percentiles"), std::string::npos);
     EXPECT_NE(text.find("predict.batch.seconds"), std::string::npos);
+    // Phases are not repeated as latency rows.
+    EXPECT_EQ(text.find("| `phase."), std::string::npos);
     EXPECT_NE(text.find("## Prediction quality"), std::string::npos);
     EXPECT_NE(text.find("## Top-error predictions"),
               std::string::npos);
@@ -305,7 +358,6 @@ TEST(Report, RendersAllSectionsFromSidecars)
 
     std::remove(metrics.c_str());
     std::remove(predictions.c_str());
-    std::remove(trace.c_str());
 }
 
 TEST(Report, OptionalSidecarsDegradeToNotes)
@@ -316,10 +368,13 @@ TEST(Report, OptionalSidecarsDegradeToNotes)
         writeTemp("report_metrics_only.json", reg.toJson());
 
     const auto report =
-        obs::renderRunReport(obs::RunReportInputs{metrics, "", ""});
+        obs::renderRunReport(obs::RunReportInputs{metrics, ""});
     ASSERT_TRUE(report.ok()) << report.error().message();
     EXPECT_NE(report.value().find("## Phase tree"), std::string::npos);
-    EXPECT_NE(report.value().find("--trace-out"), std::string::npos);
+    EXPECT_NE(report.value().find("(no pipeline phases"),
+              std::string::npos);
+    EXPECT_NE(report.value().find("--predictions-out"),
+              std::string::npos);
 
     std::remove(metrics.c_str());
 }
@@ -327,13 +382,13 @@ TEST(Report, OptionalSidecarsDegradeToNotes)
 TEST(Report, MissingOrMalformedMetricsFails)
 {
     const auto missing = obs::renderRunReport(
-        obs::RunReportInputs{"/nonexistent/metrics.json", "", ""});
+        obs::RunReportInputs{"/nonexistent/metrics.json", ""});
     EXPECT_FALSE(missing.ok());
 
     const std::string bad =
         writeTemp("report_bad_metrics.json", "not json at all");
     const auto malformed =
-        obs::renderRunReport(obs::RunReportInputs{bad, "", ""});
+        obs::renderRunReport(obs::RunReportInputs{bad, ""});
     EXPECT_FALSE(malformed.ok());
     std::remove(bad.c_str());
 }

@@ -431,6 +431,32 @@ TEST(ServeProtocol, ParsesPredictRequestsAndRejectsMalformedOnes)
                      .ok());
 }
 
+TEST(ServeProtocol, RawBatchMustBeANonNegativeInt)
+{
+    const auto rawQuery = [](const std::string& batch) {
+        const std::string app =
+            R"({"cpu_time":0.5,"gpu_time":0.25,"batch":)" + batch +
+            R"(,"mix":[10,10,10,10,10,10,10,10,20]})";
+        return R"({"op":"predict","id":"b","a":)" + app + R"(,"b":)" +
+               app + R"(,"fairness":0.75})";
+    };
+    const auto ok = serve::parseRequest(rawQuery("40"));
+    ASSERT_TRUE(ok.ok()) << ok.error().toString();
+    EXPECT_EQ(ok.value().queries[0].raw.a.batchSize, 40);
+    EXPECT_TRUE(serve::parseRequest(rawQuery("0")).ok());
+    EXPECT_TRUE(serve::parseRequest(rawQuery("2147483647")).ok());
+    for (const char* bad :
+         {"1e300", "-2.5", "-1", "2.5", "2147483648", "\"40\"", "null"}) {
+        std::string id;
+        const auto parsed =
+            serve::parseRequest(rawQuery(bad), "client", id);
+        ASSERT_FALSE(parsed.ok()) << bad;
+        EXPECT_EQ(parsed.error().code(), ErrorCode::InvalidArgument)
+            << bad;
+        EXPECT_EQ(id, "b") << bad;
+    }
+}
+
 TEST(ServeProtocol, ResponsesAreWellFormedJsonl)
 {
     EXPECT_EQ(serve::ackResponse("7", serve::RequestOp::Ping),
@@ -482,11 +508,37 @@ TEST(Server, DispatchAnswersSyncOpsAndFlagsBadRequests)
     EXPECT_NE(out[4].find("# TYPE mapp_serve_requests counter"),
               std::string::npos);
 
+    // A well-formed request that breaks the schema is a bad_request
+    // that still echoes its id; only unparseable JSON is a parse error
+    // with no id to echo.
+    out.clear();
+    server.handleLine(R"({"op":"nope","id":"7"})", collect);
+    server.handleLine(R"({"op":"predict","id":"8","fairness":0.5,)"
+                      R"("a":{"cpu_time":1,"gpu_time":1,"mix":[1,2]},)"
+                      R"("b":{"cpu_time":1,"gpu_time":1,"mix":[1,2]}})",
+                      collect);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind(R"({"id":"7","ok":false,"error":"bad_request")",
+                           0),
+              0u)
+        << out[0];
+    EXPECT_EQ(out[1].rfind(R"({"id":"8","ok":false,"error":"bad_request")",
+                           0),
+              0u)
+        << out[1];
+    out.clear();
+    server.handleLine("garbage", collect);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].rfind(R"({"id":"","ok":false,"error":"parse")", 0),
+              0u)
+        << out[0];
+
     // Reload without a factory is an internal error response, not a
     // crash or a dropped line.
+    out.clear();
     server.handleLine(R"({"op":"reload","id":"5"})", collect);
-    ASSERT_EQ(out.size(), 6u);
-    EXPECT_NE(out[5].find("\"error\":\"internal\""),
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_NE(out[0].find("\"error\":\"internal\""),
               std::string::npos);
     service.drain();
 }
