@@ -4,10 +4,9 @@
  * every cached artifact class. The headline pair is the 91-run
  * campaign — computed from scratch against an empty cache, then served
  * from the single campaign record by a fresh collector — plus the
- * per-blob serialize/parse costs for traces, datasets (binary vs. the
- * CSV path it replaces) and trained tree models. Every number lands in
- * the metrics sidecar (bench.cache.* gauges) so the cache's perf
- * trajectory is measured, not asserted.
+ * per-blob serialize/parse costs for traces and trained tree models.
+ * Every number lands in the metrics sidecar (bench.cache.* gauges) so
+ * the cache's perf trajectory is measured, not asserted.
  *
  * Flags:
  *   --iters=<n>  scale all repetition counts (default 200; the
@@ -30,8 +29,6 @@
 #include "common/parse.h"
 #include "common/table.h"
 #include "isa/trace_binary.h"
-#include "ml/dataset_binary.h"
-#include "ml/dataset_io.h"
 #include "ml/decision_tree.h"
 #include "ml/model_binary.h"
 #include "predictor/data_collection.h"
@@ -148,20 +145,8 @@ main(int argc, char** argv)
         [&] { (void)isa::traceFromBinary(traceBlob, "bench"); },
         iters);
 
-    // --- dataset: binary parse vs. the CSV reader it replaces ---
-    const ml::Dataset data = predictor::toDataset(points);
-    const std::string dataBlob = ml::datasetToBinary(data);
-    const fs::path csvPath = root / "bench_dataset.csv";
-    const fs::path binPath = root / "bench_dataset.bin";
-    ml::writeDatasetFile(data, csvPath.string());
-    ml::writeDatasetBinaryFile(data, binPath.string());
-    const double datasetCsv = secondsFor(
-        [&] { (void)ml::readDatasetFile(csvPath.string()); }, iters);
-    const double datasetBin = secondsFor(
-        [&] { (void)ml::readDatasetBinaryFile(binPath.string()); },
-        iters);
-
     // --- model: tree fit vs. binary reload of the fitted tree ---
+    const ml::Dataset data = predictor::toDataset(points);
     ml::DecisionTreeParams treeParams;
     ml::DecisionTreeRegressor tree(treeParams);
     const double modelFit = secondsFor(
@@ -190,8 +175,6 @@ main(int argc, char** argv)
          campaignWarm * 1e6, "campaign"},
         {"trace serialize vs parse", perRepUs(traceSerialize, iters),
          perRepUs(traceParse, iters), "trace"},
-        {"dataset CSV read vs binary read", perRepUs(datasetCsv, iters),
-         perRepUs(datasetBin, iters), "dataset"},
         {"tree fit vs binary reload",
          perRepUs(modelFit, std::max(1L, iters / 10)),
          perRepUs(modelLoad, iters), "model"},
@@ -212,15 +195,10 @@ main(int argc, char** argv)
         setGauge(prefix + ".speedup", speedup);
     }
     std::printf("%s", table.render().c_str());
-    std::printf("\nblob sizes: trace %zu B, dataset %zu B (csv %ju B), "
-                "model %zu B\n",
-                traceBlob.size(), dataBlob.size(),
-                static_cast<std::uintmax_t>(fs::file_size(csvPath)),
-                modelBlob.size());
+    std::printf("\nblob sizes: trace %zu B, model %zu B\n",
+                traceBlob.size(), modelBlob.size());
     setGauge("bench.cache.trace.blob_bytes",
              static_cast<double>(traceBlob.size()));
-    setGauge("bench.cache.dataset.blob_bytes",
-             static_cast<double>(dataBlob.size()));
     setGauge("bench.cache.model.blob_bytes",
              static_cast<double>(modelBlob.size()));
 

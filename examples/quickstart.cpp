@@ -10,6 +10,7 @@
 
 #include <cstdio>
 
+#include "ml/metrics.h"
 #include "predictor/data_collection.h"
 #include "predictor/predictor.h"
 

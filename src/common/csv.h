@@ -1,8 +1,8 @@
 /**
  * @file
- * Minimal CSV reading and writing used to persist collected datasets and
- * experiment outputs. Values containing commas, quotes or newlines are
- * quoted per RFC 4180.
+ * Minimal CSV writing for exported datasets, traces and experiment
+ * outputs. Values containing commas, quotes or newlines are quoted per
+ * RFC 4180.
  */
 
 #ifndef MAPP_COMMON_CSV_H
@@ -13,31 +13,6 @@
 #include <vector>
 
 namespace mapp {
-
-/** In-memory CSV table: a header row plus data rows of strings. */
-struct CsvTable
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
-
-    /**
-     * Where the table came from (file path or caller-chosen label);
-     * readCsvFile() fills it in so parse errors can point at the file.
-     * Empty when parsed from an anonymous string.
-     */
-    std::string source;
-
-    /** Index of a header column, or -1 if absent. */
-    int columnIndex(const std::string& name) const;
-
-    /**
-     * A whole column strictly parsed as finite doubles.
-     * @throws InputError locating the bad cell (source, row, column)
-     *         on a missing column, short row, or malformed number —
-     *         trailing garbage ("1.5abc") and NaN/Inf are rejected.
-     */
-    std::vector<double> numericColumn(const std::string& name) const;
-};
 
 /** Incremental CSV writer. */
 class CsvWriter
@@ -52,24 +27,9 @@ class CsvWriter
     /** Emit one row of string cells. */
     void writeRow(const std::vector<std::string>& cells);
 
-    /** Emit one row of numeric cells with full precision. */
-    void writeNumericRow(const std::vector<double>& cells);
-
   private:
     std::ostream& os_;
 };
-
-/**
- * Parse CSV text (first row is the header). @p source labels the text
- * in later error messages (e.g. the path it was read from).
- */
-CsvTable parseCsv(const std::string& text, std::string source = "");
-
-/** Read and parse a CSV file. @throws InputError on I/O error. */
-CsvTable readCsvFile(const std::string& path);
-
-/** Serialize a table back to CSV text. */
-std::string toCsv(const CsvTable& table);
 
 /** Quote a single cell if needed. */
 std::string csvEscape(const std::string& cell);

@@ -39,18 +39,6 @@ SourceContext::describe() const
     return out;
 }
 
-Error&
-Error::addContext(const SourceContext& context)
-{
-    if (context_.file.empty())
-        context_.file = context.file;
-    if (context_.row == 0)
-        context_.row = context.row;
-    if (context_.column.empty())
-        context_.column = context.column;
-    return *this;
-}
-
 std::string
 Error::toString() const
 {

@@ -67,9 +67,6 @@ class Error
     const std::string& message() const { return message_; }
     const SourceContext& context() const { return context_; }
 
-    /** Fill in location fields that are still unknown; keeps known ones. */
-    Error& addContext(const SourceContext& context);
-
     /** "parse error at bags.csv, row 3, column 'x': bad number '1x'" */
     std::string toString() const;
 
@@ -133,39 +130,6 @@ class [[nodiscard]] Result
         if (ok())
             panic("Result::error() called on a success value");
         return *error_;
-    }
-
-    /** The value, or @p fallback when this holds an error. */
-    T valueOr(T fallback) const
-    {
-        return ok() ? *value_ : std::move(fallback);
-    }
-
-    /** The value, or throw the error as an InputError. */
-    T orThrow() const
-    {
-        if (!ok())
-            raise(*error_);
-        return *value_;
-    }
-
-    /** Like orThrow(), locating the error at @p context first. */
-    T orThrow(const SourceContext& context) const
-    {
-        if (!ok()) {
-            Error e = *error_;
-            e.addContext(context);
-            raise(std::move(e));
-        }
-        return *value_;
-    }
-
-    /** Same result with @p context merged into the error (if any). */
-    Result<T> withContext(const SourceContext& context) &&
-    {
-        if (!ok())
-            error_->addContext(context);
-        return std::move(*this);
     }
 
   private:

@@ -86,7 +86,7 @@ void
 verbose(const std::string& msg)
 {
     if (logLevel() >= LogLevel::Verbose)
-        writeLine("debug: ", msg);
+        writeLine("verbose: ", msg);
 }
 
 void

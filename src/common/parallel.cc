@@ -112,13 +112,6 @@ ThreadPool::tasksRun() const
     return tasksRun_;
 }
 
-std::size_t
-ThreadPool::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
-
 void
 ThreadPool::workerLoop()
 {
@@ -178,8 +171,19 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)>& body)
     const auto lanes = static_cast<std::size_t>(maxThreads());
     if (lanes <= 1 || n == 1 ||
         gPoolRetired.load(std::memory_order_relaxed)) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
+        // Same contract as the pooled path: every iteration runs, then
+        // the first exception is rethrown.
+        std::exception_ptr error;
+        for (std::size_t i = 0; i < n; ++i) {
+            try {
+                body(i);
+            } catch (...) {
+                if (!error)
+                    error = std::current_exception();
+            }
+        }
+        if (error)
+            std::rethrow_exception(error);
         return;
     }
 

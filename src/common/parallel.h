@@ -68,9 +68,6 @@ class ThreadPool
     /** Tasks fully executed so far (workers + inline fallbacks). */
     std::size_t tasksRun() const;
 
-    /** Tasks currently waiting in the queue. */
-    std::size_t queueDepth() const;
-
   private:
     void workerLoop();
 

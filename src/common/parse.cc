@@ -37,31 +37,6 @@ emptyError()
     return {ErrorCode::Parse, "empty value where a number was expected"};
 }
 
-/** Shared integral tail: from_chars + full-consumption + bounds check. */
-template <typename T>
-Result<T>
-parseIntegral(std::string_view text, T min, T max, const char* kind)
-{
-    const std::string_view token = trim(text);
-    if (token.empty())
-        return emptyError();
-    T value{};
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec == std::errc::invalid_argument)
-        return Error{ErrorCode::Parse, quoted(token) + std::string(" is not ") +
-                                           kind};
-    if (ptr != token.data() + token.size())
-        return Error{ErrorCode::Parse,
-                     "trailing characters after number in " + quoted(token)};
-    if (ec == std::errc::result_out_of_range || value < min || value > max)
-        return Error{ErrorCode::Range,
-                     quoted(token) + " is out of range [" +
-                         std::to_string(min) + ", " + std::to_string(max) +
-                         "]"};
-    return value;
-}
-
 }  // namespace
 
 Result<double>
@@ -90,31 +65,26 @@ parseDouble(std::string_view text)
     return value;
 }
 
-Result<long long>
-parseInt(std::string_view text, long long min, long long max)
-{
-    return parseIntegral<long long>(text, min, max, "an integer");
-}
-
-Result<std::uint64_t>
-parseUnsigned(std::string_view text, std::uint64_t max)
-{
-    const std::string_view token = trim(text);
-    if (!token.empty() && token.front() == '-')
-        return Error{ErrorCode::Range,
-                     "negative value " + quoted(token) +
-                         " where an unsigned integer was expected"};
-    return parseIntegral<std::uint64_t>(token, std::uint64_t{0}, max,
-                                        "an unsigned integer");
-}
-
 Result<int>
 parseBoundedInt(std::string_view text, int min, int max)
 {
-    auto wide = parseInt(text, min, max);
-    if (!wide)
-        return wide.error();
-    return static_cast<int>(wide.value());
+    const std::string_view token = trim(text);
+    if (token.empty())
+        return emptyError();
+    int value = 0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::invalid_argument)
+        return Error{ErrorCode::Parse, quoted(token) + " is not an integer"};
+    if (ptr != token.data() + token.size())
+        return Error{ErrorCode::Parse,
+                     "trailing characters after number in " + quoted(token)};
+    if (ec == std::errc::result_out_of_range || value < min || value > max)
+        return Error{ErrorCode::Range,
+                     quoted(token) + " is out of range [" +
+                         std::to_string(min) + ", " + std::to_string(max) +
+                         "]"};
+    return value;
 }
 
 }  // namespace mapp

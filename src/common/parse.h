@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict numeric parsing for untrusted text (CSV cells, CLI flags).
+ * Strict numeric parsing for untrusted text (CLI flags, request fields).
  * Unlike std::stod/std::stoi these helpers consume the whole token:
  * trailing garbage ("1.5abc"), empty cells, NaN/Inf, and out-of-range
  * values are all rejected with a structured Error instead of being
@@ -11,8 +11,6 @@
 #ifndef MAPP_COMMON_PARSE_H
 #define MAPP_COMMON_PARSE_H
 
-#include <cstdint>
-#include <limits>
 #include <string_view>
 
 #include "common/error.h"
@@ -23,17 +21,6 @@ namespace mapp {
 Result<double> parseDouble(std::string_view text);
 
 /** A signed integer from the whole of @p text, within [min, max]. */
-Result<long long> parseInt(
-    std::string_view text,
-    long long min = std::numeric_limits<long long>::min(),
-    long long max = std::numeric_limits<long long>::max());
-
-/** An unsigned integer from the whole of @p text, at most @p max. */
-Result<std::uint64_t> parseUnsigned(
-    std::string_view text,
-    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
-
-/** parseInt() narrowed to int — the convenient form for CLI flags. */
 Result<int> parseBoundedInt(std::string_view text, int min, int max);
 
 }  // namespace mapp

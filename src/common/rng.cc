@@ -95,38 +95,4 @@ Rng::normal()
     return r * std::cos(theta);
 }
 
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
-}
-
-double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
-}
-
-double
-Rng::exponential(double rate)
-{
-    double u = 0.0;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return -std::log(u) / rate;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xD2B74407B1CE6E93ull);
-}
-
 }  // namespace mapp

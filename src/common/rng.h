@@ -2,11 +2,11 @@
  * @file
  * Deterministic pseudo-random number generation.
  *
- * Every stochastic component in MAPP (synthetic image generation, workload
- * perturbation, ML train/test splits, simulator jitter) draws from an
- * explicitly seeded Rng so that experiments are bit-reproducible across
- * runs and platforms. The generator is xoshiro256++, which is small, fast
- * and has no observable statistical defects for our use cases.
+ * Every stochastic component in MAPP (synthetic image generation, random
+ * forest bootstraps, random bag mixes) draws from an explicitly seeded
+ * Rng so that experiments are bit-reproducible across runs and
+ * platforms. The generator is xoshiro256++, which is small, fast and
+ * has no observable statistical defects for our use cases.
  */
 
 #ifndef MAPP_COMMON_RNG_H
@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace mapp {
 
@@ -45,33 +44,6 @@ class Rng
 
     /** Standard normal deviate (Box-Muller, deterministic). */
     double normal();
-
-    /** Normal deviate with the given mean and standard deviation. */
-    double normal(double mean, double stddev);
-
-    /** Log-normal deviate parameterized by the underlying normal. */
-    double logNormal(double mu, double sigma);
-
-    /** Bernoulli trial with probability p of returning true. */
-    bool bernoulli(double p);
-
-    /** Exponential deviate with the given rate (lambda). */
-    double exponential(double rate);
-
-    /** Fisher-Yates shuffle of a vector, deterministic given the state. */
-    template <typename T>
-    void
-    shuffle(std::vector<T>& v)
-    {
-        for (std::size_t i = v.size(); i > 1; --i) {
-            auto j = static_cast<std::size_t>(
-                uniformInt(0, static_cast<std::int64_t>(i) - 1));
-            std::swap(v[i - 1], v[j]);
-        }
-    }
-
-    /** Derive an independent child generator (for parallel streams). */
-    Rng fork();
 
   private:
     std::array<std::uint64_t, 4> state_;

@@ -1,14 +1,12 @@
 /**
  * @file
- * Descriptive statistics helpers used throughout the predictor pipeline:
- * summarizing simulated runs, computing feature/target correlations
- * (Section VI-A of the paper) and aggregating cross-validation errors.
+ * Descriptive statistics for the feature/target correlation tables
+ * (Section VI-A of the paper).
  */
 
 #ifndef MAPP_COMMON_STATS_H
 #define MAPP_COMMON_STATS_H
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -17,34 +15,11 @@ namespace mapp::stats {
 /** Arithmetic mean; 0 for an empty span. */
 double mean(std::span<const double> xs);
 
-/** Population variance; 0 for spans shorter than 2. */
-double variance(std::span<const double> xs);
-
-/** Population standard deviation. */
-double stddev(std::span<const double> xs);
-
-/** Geometric mean of strictly-positive values; 0 if any value <= 0. */
-double geomean(std::span<const double> xs);
-
 /** Minimum; +inf for an empty span. */
 double minimum(std::span<const double> xs);
 
 /** Maximum; -inf for an empty span. */
 double maximum(std::span<const double> xs);
-
-/** Sum of the values. */
-double sum(std::span<const double> xs);
-
-/** Median (average of the two middle values for even sizes). */
-double median(std::span<const double> xs);
-
-/**
- * Linear-interpolated percentile.
- *
- * @param xs values (copied and sorted internally)
- * @param p percentile, clamped to [0, 100] (NaN is treated as 0)
- */
-double percentile(std::span<const double> xs, double p);
 
 /** Pearson correlation coefficient; 0 if either side has zero variance. */
 double pearson(std::span<const double> xs, std::span<const double> ys);
@@ -54,35 +29,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys);
 
 /** Ranks with average-rank tie handling (1-based ranks). */
 std::vector<double> ranks(std::span<const double> xs);
-
-/**
- * Streaming accumulator for mean/variance/min/max without storing samples
- * (Welford's algorithm).
- */
-class Accumulator
-{
-  public:
-    /** Fold one sample into the running moments. */
-    void add(double x);
-
-    /** Number of samples folded so far. */
-    std::size_t count() const { return n_; }
-
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double minimum() const { return min_; }
-    double maximum() const { return max_; }
-    double sum() const { return sum_; }
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 }  // namespace mapp::stats
 

@@ -161,24 +161,6 @@ MulticoreSim::runAlone(const isa::WorkloadTrace& trace, int threads) const
     return bag.apps.front();
 }
 
-std::vector<PhaseTiming>
-MulticoreSim::timeline(const isa::WorkloadTrace& trace,
-                       int threads) const
-{
-    CpuAllocation alloc;
-    alloc.threads = std::max(threads, 1);
-    alloc.logicalCores = config_.logicalCores();
-    alloc.llcShare = config_.llcSize;
-    alloc.bandwidthShare = config_.memBandwidth;
-    alloc.memQueueFactor = 1.0;
-
-    std::vector<PhaseTiming> out;
-    out.reserve(trace.size());
-    for (const auto& phase : trace.phases())
-        out.push_back(timePhase(phase, alloc, config_, cacheParams_));
-    return out;
-}
-
 int
 MulticoreSim::bestThreadCount(const isa::WorkloadTrace& trace) const
 {

@@ -68,14 +68,6 @@ class MulticoreSim
      */
     int bestThreadCount(const isa::WorkloadTrace& trace) const;
 
-    /**
-     * Per-phase timing breakdown of an alone run (whole machine, given
-     * thread count): issue/branch/memory cycle decomposition per phase,
-     * in trace order.
-     */
-    std::vector<PhaseTiming> timeline(const isa::WorkloadTrace& trace,
-                                      int threads) const;
-
   private:
     CpuConfig config_;
     CacheModelParams cacheParams_;

@@ -46,9 +46,6 @@ inline constexpr std::array<InstClass, kNumInstClasses> kAllInstClasses = {
 /** Short machine-readable name (matches Fig. 12 column labels). */
 std::string instClassName(InstClass c);
 
-/** Parse an instClassName back to the enum. @throws FatalError if bad. */
-InstClass instClassFromName(const std::string& name);
-
 }  // namespace mapp::isa
 
 #endif  // MAPP_ISA_INST_CLASS_H

@@ -1,7 +1,5 @@
 #include "isa/inst_mix.h"
 
-#include <sstream>
-
 #include "common/log.h"
 
 namespace mapp::isa {
@@ -22,15 +20,6 @@ instClassName(InstClass c)
       default: break;
     }
     panic("instClassName: invalid class");
-}
-
-InstClass
-instClassFromName(const std::string& name)
-{
-    for (InstClass c : kAllInstClasses)
-        if (instClassName(c) == name)
-            return c;
-    fatal("instClassFromName: unknown class " + name);
 }
 
 void
@@ -69,18 +58,6 @@ InstMix::fraction(InstClass c) const
     return static_cast<double>(count(c)) / static_cast<double>(t);
 }
 
-double
-InstMix::memFraction() const
-{
-    return fraction(InstClass::MemRead) + fraction(InstClass::MemWrite);
-}
-
-double
-InstMix::computeFraction() const
-{
-    return fraction(InstClass::IntAlu) + fraction(InstClass::Simd);
-}
-
 InstMix&
 InstMix::operator+=(const InstMix& rhs)
 {
@@ -96,19 +73,6 @@ InstMix::scaled(InstCount factor) const
     for (std::size_t i = 0; i < kNumInstClasses; ++i)
         out.counts_[i] = counts_[i] * factor;
     return out;
-}
-
-std::string
-InstMix::toString() const
-{
-    std::ostringstream os;
-    os << "total=" << total();
-    for (InstClass c : kAllInstClasses) {
-        os << ' ' << instClassName(c) << '=';
-        os.precision(1);
-        os << std::fixed << percent(c) << '%';
-    }
-    return os.str();
 }
 
 }  // namespace mapp::isa

@@ -39,12 +39,6 @@ class InstMix
     /** Fraction (0-1) of the mix taken by class @p c; 0 if empty. */
     double fraction(InstClass c) const;
 
-    /** Combined memory fraction (reads + writes), Table IV's "MEM". */
-    double memFraction() const;
-
-    /** Combined compute fraction (IntAlu + Simd), used in Figs. 6-9. */
-    double computeFraction() const;
-
     /** Element-wise accumulation. */
     InstMix& operator+=(const InstMix& rhs);
 
@@ -53,9 +47,6 @@ class InstMix
 
     /** Equality of all counters. */
     bool operator==(const InstMix& rhs) const = default;
-
-    /** One-line human-readable mix summary. */
-    std::string toString() const;
 
   private:
     std::array<InstCount, kNumInstClasses> counts_;

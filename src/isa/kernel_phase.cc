@@ -4,15 +4,6 @@
 
 namespace mapp::isa {
 
-double
-KernelPhase::arithmeticIntensity() const
-{
-    const Bytes t = traffic();
-    if (t == 0)
-        return static_cast<double>(instructions());
-    return static_cast<double>(instructions()) / static_cast<double>(t);
-}
-
 void
 KernelPhase::validate() const
 {

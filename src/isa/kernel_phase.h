@@ -4,7 +4,7 @@
  * the performance simulators.
  *
  * A KernelPhase is the basic-block-aggregate record one instrumented
- * primitive (convolution, histogram, dot product, ...) emits: dynamic
+ * primitive (convolution, resize, distance matrix, ...) emits: dynamic
  * instruction counts by class, memory traffic and footprint, and the
  * behavioural knobs the simulators need (parallelism, locality, branch
  * divergence). It plays the role the PIN/MICA trace plays in the paper.
@@ -80,12 +80,6 @@ struct KernelPhase
 
     /** Total memory traffic (reads + writes). */
     Bytes traffic() const { return bytesRead + bytesWritten; }
-
-    /**
-     * Arithmetic intensity: instructions per byte of traffic
-     * (+inf-avoiding: returns instructions if traffic is zero).
-     */
-    double arithmeticIntensity() const;
 
     /**
      * Check invariants (fractions in range, non-zero work for non-empty

@@ -1,8 +1,5 @@
 #include "isa/trace_binary.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "cache/binary_io.h"
 #include "common/error.h"
 #include "isa/inst_class.h"
@@ -76,31 +73,6 @@ traceFromBinary(const std::string& blob, const std::string& source)
     }
     r.expectEnd();
     return trace;
-}
-
-void
-writeTraceBinaryFile(const WorkloadTrace& trace, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    const std::string blob = traceToBinary(trace);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-WorkloadTrace
-readTraceBinaryFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return traceFromBinary(ss.str(), path);
 }
 
 }  // namespace mapp::isa

@@ -1,11 +1,10 @@
 /**
  * @file
  * WorkloadTrace binary serialization — the compact format the artifact
- * cache stores profiled traces in. Same information as the CSV
- * round-trip of trace_io.h, but a versioned binary frame (magic "MTRC",
- * little-endian POD fields, length-prefixed strings, trailing FNV
- * checksum) that loads one to two orders of magnitude faster than
- * strict CSV parsing. Loading re-validates every phase, so a corrupt
+ * cache stores profiled traces in: a versioned binary frame (magic
+ * "MTRC", little-endian POD fields, length-prefixed strings, trailing
+ * FNV checksum) holding the same information as the CSV export of
+ * trace_io.h. Loading re-validates every phase, so a corrupt
  * blob surfaces as a located mapp::InputError and the cache falls back
  * to re-profiling.
  */
@@ -30,13 +29,6 @@ std::string traceToBinary(const WorkloadTrace& trace);
  */
 WorkloadTrace traceFromBinary(const std::string& blob,
                               const std::string& source = "");
-
-/** Write a trace to a binary file. @throws InputError on I/O failure. */
-void writeTraceBinaryFile(const WorkloadTrace& trace,
-                          const std::string& path);
-
-/** Read a binary trace file. @throws InputError on I/O or parse failure. */
-WorkloadTrace readTraceBinaryFile(const std::string& path);
 
 }  // namespace mapp::isa
 

@@ -1,14 +1,10 @@
 #include "isa/trace_io.h"
 
-#include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/file_io.h"
-#include "common/log.h"
-#include "common/parse.h"
 
 namespace mapp::isa {
 
@@ -57,104 +53,11 @@ traceToCsv(const WorkloadTrace& trace)
     return os.str();
 }
 
-WorkloadTrace
-traceFromCsv(const std::string& text, const std::string& source)
-{
-    const CsvTable table = parseCsv(text, source);
-    const auto expected = header();
-    if (table.header != expected)
-        raise({ErrorCode::Schema,
-               "unexpected trace header (" +
-                   std::to_string(table.header.size()) + " columns, " +
-                   std::to_string(expected.size()) +
-                   " expected starting 'app,batch,phase')",
-               {source, 0, ""}});
-    if (table.rows.empty())
-        raise({ErrorCode::Schema, "trace has no phases", {source, 0, ""}});
-
-    auto col = [&](const std::string& name) {
-        // The full header matched above, so the column must exist.
-        const int idx = table.columnIndex(name);
-        if (idx < 0)
-            panic("traceFromCsv: missing column " + name);
-        return static_cast<std::size_t>(idx);
-    };
-    // Cell accessors carrying (source, row, column) into every error.
-    auto cellAt = [&](std::size_t r, const std::string& name) {
-        return table.rows[r][col(name)];
-    };
-    auto ctxAt = [&](std::size_t r, const std::string& name) {
-        return SourceContext{source, r + 1, name};
-    };
-    auto countAt = [&](std::size_t r, const std::string& name) {
-        return parseUnsigned(cellAt(r, name)).orThrow(ctxAt(r, name));
-    };
-    auto fractionAt = [&](std::size_t r, const std::string& name) {
-        return parseDouble(cellAt(r, name)).orThrow(ctxAt(r, name));
-    };
-
-    WorkloadTrace trace(
-        cellAt(0, "app"),
-        parseBoundedInt(cellAt(0, "batch"), 1,
-                        std::numeric_limits<int>::max())
-            .orThrow(ctxAt(0, "batch")));
-    for (std::size_t r = 0; r < table.rows.size(); ++r) {
-        const auto& row = table.rows[r];
-        if (row.size() != expected.size())
-            raise({ErrorCode::Schema,
-                   "row has " + std::to_string(row.size()) +
-                       " cells, expected " +
-                       std::to_string(expected.size()),
-                   {source, r + 1, ""}});
-        KernelPhase p;
-        p.name = cellAt(r, "phase");
-        for (InstClass c : kAllInstClasses) {
-            p.mix.add(c, static_cast<InstCount>(
-                             countAt(r, instClassName(c))));
-        }
-        p.bytesRead = countAt(r, "bytes_read");
-        p.bytesWritten = countAt(r, "bytes_written");
-        p.footprint = countAt(r, "footprint");
-        p.parallelFraction = fractionAt(r, "parallel");
-        p.workItems = countAt(r, "work_items");
-        p.locality = fractionAt(r, "locality");
-        p.branchDivergence = fractionAt(r, "divergence");
-        p.launches = countAt(r, "launches");
-        const std::string& staged = cellAt(r, "host_staged");
-        if (staged != "0" && staged != "1")
-            raise({ErrorCode::Parse,
-                   "host_staged must be 0 or 1, got '" + staged + "'",
-                   ctxAt(r, "host_staged")});
-        p.hostStaged = staged == "1";
-        try {
-            trace.append(std::move(p));  // validates the phase
-        } catch (const InputError&) {
-            throw;
-        } catch (const FatalError& e) {
-            raise({ErrorCode::Range, e.what(), {source, r + 1, ""}});
-        }
-    }
-    return trace;
-}
-
 void
 writeTraceFile(const WorkloadTrace& trace, const std::string& path)
 {
     if (!writeFileAtomic(path, traceToCsv(trace)))
         raise({ErrorCode::Io, "cannot write file", {path, 0, ""}});
-}
-
-WorkloadTrace
-readTraceFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return traceFromCsv(ss.str(), path);
 }
 
 }  // namespace mapp::isa

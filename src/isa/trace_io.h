@@ -1,9 +1,10 @@
 /**
  * @file
- * WorkloadTrace serialization: traces round-trip through a CSV format
- * (one row per phase) so profiled workloads can be cached on disk,
- * shipped between machines, or inspected with standard tools — the
- * moral equivalent of PIN trace files.
+ * WorkloadTrace CSV export (one row per phase), written by
+ * `mapp_cli trace` so a profiled workload can be inspected with
+ * standard tools — the moral equivalent of PIN trace files. Nothing
+ * reads it back; the artifact cache stores traces as the binary frame
+ * of trace_binary.h.
  */
 
 #ifndef MAPP_ISA_TRACE_IO_H
@@ -18,22 +19,8 @@ namespace mapp::isa {
 /** Serialize a trace to CSV text (header + one row per phase). */
 std::string traceToCsv(const WorkloadTrace& trace);
 
-/**
- * Parse a trace back from CSV text produced by traceToCsv. Every cell
- * is parsed strictly (no trailing garbage, no NaN/Inf, no overflow).
- * @param source label for the text in error messages (e.g. its path)
- * @throws InputError locating the offending row/column on malformed
- *         input (missing columns, bad values, phases that fail
- *         validation).
- */
-WorkloadTrace traceFromCsv(const std::string& text,
-                           const std::string& source = "");
-
 /** Write a trace to a file. @throws InputError on I/O failure. */
 void writeTraceFile(const WorkloadTrace& trace, const std::string& path);
-
-/** Read a trace from a file. @throws InputError on I/O or parse failure. */
-WorkloadTrace readTraceFile(const std::string& path);
 
 }  // namespace mapp::isa
 

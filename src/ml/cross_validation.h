@@ -1,28 +1,24 @@
 /**
  * @file
- * Cross-validation drivers: leave-one-group-out (the paper's LOOCV,
- * where every data point of the left-out benchmark is held out
- * together, Section V-D.1) and k-fold, both generic over any regressor
- * with fit(Dataset)/predict(Dataset).
+ * Cross-validation result types. The paper's LOOCV (Figure 4, Section
+ * V-D.1) holds out every bag that involves the left-out benchmark; its
+ * one driver is predictor::MultiAppPredictor::looBenchmarkCv, which
+ * returns one FoldResult per benchmark.
  */
 
 #ifndef MAPP_ML_CROSS_VALIDATION_H
 #define MAPP_ML_CROSS_VALIDATION_H
 
-#include <functional>
+#include <cstddef>
 #include <string>
 #include <vector>
-
-#include "common/rng.h"
-#include "ml/dataset.h"
-#include "ml/metrics.h"
 
 namespace mapp::ml {
 
 /** Errors of one cross-validation fold. */
 struct FoldResult
 {
-    std::string label;          ///< group name or fold index
+    std::string label;          ///< the left-out benchmark
     double meanRelativeError = 0.0;  ///< percent
     double mse = 0.0;
     std::size_t testPoints = 0;
@@ -36,31 +32,6 @@ struct CrossValidationResult
     /** Unweighted mean of the folds' relative errors (percent). */
     double meanRelativeError() const;
 };
-
-/**
- * A regressor factory + fit + predict bundle, so the CV drivers stay
- * model-agnostic. fitPredict must train on the first dataset and return
- * predictions for the second.
- *
- * The CV drivers evaluate folds concurrently on the thread pool, so
- * fit_predict must be safe to call from several threads at once — in
- * practice: construct a fresh model inside the callback instead of
- * reusing one captured by reference.
- */
-using FitPredictFn =
-    std::function<std::vector<double>(const Dataset& train,
-                                      const Dataset& test)>;
-
-/**
- * Leave-one-group-out CV: for every distinct group, hold out all of its
- * rows, train on the rest, evaluate on the held-out rows.
- */
-CrossValidationResult leaveOneGroupOut(const Dataset& data,
-                                       const FitPredictFn& fit_predict);
-
-/** Classic k-fold CV with a deterministic shuffle. */
-CrossValidationResult kFold(const Dataset& data, int folds, Rng& rng,
-                            const FitPredictFn& fit_predict);
 
 }  // namespace mapp::ml
 

@@ -60,16 +60,6 @@ Dataset::column(std::size_t feature) const
     return out;
 }
 
-std::vector<std::string>
-Dataset::distinctGroups() const
-{
-    std::vector<std::string> out;
-    for (const auto& g : groups_)
-        if (std::find(out.begin(), out.end(), g) == out.end())
-            out.push_back(g);
-    return out;
-}
-
 Dataset
 Dataset::selectFeatures(const std::vector<std::string>& names) const
 {
@@ -103,40 +93,6 @@ Dataset::subset(const std::vector<std::size_t>& indices) const
         out.addRow(rows_[i], targets_[i], groups_[i]);
     }
     return out;
-}
-
-std::pair<Dataset, Dataset>
-Dataset::trainTestSplit(double test_fraction, Rng& rng) const
-{
-    std::vector<std::size_t> order(size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    rng.shuffle(order);
-
-    const auto testCount = static_cast<std::size_t>(
-        static_cast<double>(size()) * test_fraction);
-    std::vector<std::size_t> testIdx(order.begin(),
-                                     order.begin() +
-                                         static_cast<long>(testCount));
-    std::vector<std::size_t> trainIdx(
-        order.begin() + static_cast<long>(testCount), order.end());
-    // Keep row order stable within each side for reproducibility.
-    std::sort(testIdx.begin(), testIdx.end());
-    std::sort(trainIdx.begin(), trainIdx.end());
-    return {subset(trainIdx), subset(testIdx)};
-}
-
-std::pair<Dataset, Dataset>
-Dataset::splitOutGroup(const std::string& group) const
-{
-    std::vector<std::size_t> trainIdx;
-    std::vector<std::size_t> testIdx;
-    for (std::size_t i = 0; i < size(); ++i) {
-        if (groups_[i] == group)
-            testIdx.push_back(i);
-        else
-            trainIdx.push_back(i);
-    }
-    return {subset(trainIdx), subset(testIdx)};
 }
 
 }  // namespace mapp::ml

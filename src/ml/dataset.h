@@ -2,7 +2,7 @@
  * @file
  * The regression dataset abstraction: named feature columns, one target
  * column, and a group label per row (the benchmark bag that produced the
- * data point) used for group-aware leave-one-out cross-validation.
+ * data point).
  */
 
 #ifndef MAPP_ML_DATASET_H
@@ -10,8 +10,6 @@
 
 #include <string>
 #include <vector>
-
-#include "common/rng.h"
 
 namespace mapp::ml {
 
@@ -60,28 +58,11 @@ class Dataset
     /** One feature column as a vector. */
     std::vector<double> column(std::size_t feature) const;
 
-    /** Distinct group labels in first-appearance order. */
-    std::vector<std::string> distinctGroups() const;
-
     /** A new dataset keeping only the named features (same rows). */
     Dataset selectFeatures(const std::vector<std::string>& names) const;
 
     /** A new dataset with only the rows at @p indices. */
     Dataset subset(const std::vector<std::size_t>& indices) const;
-
-    /**
-     * Split into (train, test) with @p test_fraction of rows held out,
-     * shuffled deterministically by @p rng.
-     */
-    std::pair<Dataset, Dataset> trainTestSplit(double test_fraction,
-                                               Rng& rng) const;
-
-    /**
-     * Split by group: rows whose group equals @p group go to the second
-     * (test) dataset.
-     */
-    std::pair<Dataset, Dataset> splitOutGroup(
-        const std::string& group) const;
 
   private:
     std::vector<std::string> names_;

@@ -1,86 +1,6 @@
 #include "ml/dataset_binary.h"
 
-#include <fstream>
-#include <sstream>
-
-#include "cache/binary_io.h"
-#include "common/error.h"
-
 namespace mapp::ml {
-
-namespace {
-
-constexpr std::string_view kMagic = "MDST";
-constexpr std::uint32_t kVersion = 1;
-
-}  // namespace
-
-std::string
-datasetToBinary(const Dataset& data)
-{
-    cache::BinaryWriter w(kMagic, kVersion);
-    w.u64(data.numFeatures());
-    for (const auto& name : data.featureNames())
-        w.str(name);
-    w.u64(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        for (double v : data.row(i))
-            w.f64(v);
-        w.f64(data.target(i));
-        w.str(data.group(i));
-    }
-    return std::move(w).finish();
-}
-
-Dataset
-datasetFromBinary(const std::string& blob, const std::string& source)
-{
-    cache::BinaryReader r(blob, source, kMagic, kVersion);
-    const std::uint64_t numFeatures = r.count();
-    std::vector<std::string> names;
-    names.reserve(numFeatures);
-    for (std::uint64_t k = 0; k < numFeatures; ++k)
-        names.push_back(r.str());
-    Dataset data(std::move(names));
-    const std::uint64_t rows = r.count();
-    for (std::uint64_t i = 0; i < rows; ++i) {
-        std::vector<double> row(numFeatures);
-        for (std::uint64_t k = 0; k < numFeatures; ++k)
-            row[k] = r.f64();
-        const double target = r.f64();
-        std::string group = r.str();
-        // addRow re-checks finiteness, so a checksum-surviving NaN
-        // still cannot reach a trained model.
-        data.addRow(std::move(row), target, std::move(group));
-    }
-    r.expectEnd();
-    return data;
-}
-
-void
-writeDatasetBinaryFile(const Dataset& data, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    const std::string blob = datasetToBinary(data);
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-Dataset
-readDatasetBinaryFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return datasetFromBinary(ss.str(), path);
-}
 
 void
 hashDataset(cache::Hasher& hasher, const Dataset& data)

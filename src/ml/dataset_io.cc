@@ -1,13 +1,10 @@
 #include "ml/dataset_io.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/file_io.h"
-#include "common/log.h"
-#include "common/parse.h"
 
 namespace mapp::ml {
 
@@ -41,69 +38,11 @@ datasetToCsv(const Dataset& data)
     return os.str();
 }
 
-Dataset
-datasetFromCsv(const std::string& text, const std::string& source)
-{
-    const CsvTable table = parseCsv(text, source);
-    if (table.header.size() < 2)
-        raise({ErrorCode::Schema,
-               "header too short (" +
-                   std::to_string(table.header.size()) +
-                   " columns, need at least target,group)",
-               {source, 0, ""}});
-    if (table.header[table.header.size() - 2] != "target" ||
-        table.header.back() != "group") {
-        raise({ErrorCode::Schema,
-               "last columns must be target,group (got '" +
-                   table.header[table.header.size() - 2] + "','" +
-                   table.header.back() + "')",
-               {source, 0, ""}});
-    }
-
-    const std::size_t numFeatures = table.header.size() - 2;
-    Dataset data({table.header.begin(),
-                  table.header.begin() +
-                      static_cast<long>(numFeatures)});
-    for (std::size_t r = 0; r < table.rows.size(); ++r) {
-        const auto& row = table.rows[r];
-        if (row.size() != table.header.size())
-            raise({ErrorCode::Schema,
-                   "row has " + std::to_string(row.size()) +
-                       " cells, expected " +
-                       std::to_string(table.header.size()),
-                   {source, r + 1, ""}});
-        std::vector<double> features;
-        features.reserve(numFeatures);
-        for (std::size_t f = 0; f < numFeatures; ++f) {
-            features.push_back(
-                parseDouble(row[f]).orThrow(
-                    {source, r + 1, table.header[f]}));
-        }
-        const double target = parseDouble(row[numFeatures])
-                                  .orThrow({source, r + 1, "target"});
-        data.addRow(std::move(features), target, row.back());
-    }
-    return data;
-}
-
 void
 writeDatasetFile(const Dataset& data, const std::string& path)
 {
     if (!writeFileAtomic(path, datasetToCsv(data)))
         raise({ErrorCode::Io, "cannot write file", {path, 0, ""}});
-}
-
-Dataset
-readDatasetFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return datasetFromCsv(ss.str(), path);
 }
 
 }  // namespace mapp::ml

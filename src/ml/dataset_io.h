@@ -1,8 +1,9 @@
 /**
  * @file
- * Dataset serialization: ml::Dataset round-trips through CSV (feature
- * columns + "target" + "group"), so a collected campaign can be cached,
- * versioned, or analyzed with external tools (pandas, R, ...).
+ * Dataset CSV export (feature columns + "target" + "group"), written by
+ * `mapp_cli collect` so a collected campaign can be analyzed with
+ * external tools (pandas, R, ...). Nothing reads it back; the artifact
+ * cache stores the campaign as its own binary record.
  */
 
 #ifndef MAPP_ML_DATASET_IO_H
@@ -17,22 +18,8 @@ namespace mapp::ml {
 /** Serialize a dataset to CSV text. */
 std::string datasetToCsv(const Dataset& data);
 
-/**
- * Parse a dataset from CSV text produced by datasetToCsv (the last two
- * columns must be "target" and "group"). Numeric cells are parsed
- * strictly: trailing garbage, NaN/Inf and overflow are rejected so a
- * corrupt cell cannot poison a trained model.
- * @param source label for the text in error messages (e.g. its path)
- * @throws InputError locating the offending row/column.
- */
-Dataset datasetFromCsv(const std::string& text,
-                       const std::string& source = "");
-
 /** Write a dataset to a file. @throws InputError on I/O failure. */
 void writeDatasetFile(const Dataset& data, const std::string& path);
-
-/** Read a dataset from a file. @throws InputError on I/O or parse failure. */
-Dataset readDatasetFile(const std::string& path);
 
 }  // namespace mapp::ml
 

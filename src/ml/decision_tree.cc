@@ -397,15 +397,6 @@ DecisionTreeRegressor::decisionPath(std::span<const double> x) const
     return path;
 }
 
-std::vector<int>
-DecisionTreeRegressor::featureUsageCounts(std::span<const double> x) const
-{
-    std::vector<int> counts(featureNames_.size(), 0);
-    for (const auto& step : decisionPath(x))
-        counts[static_cast<std::size_t>(step.feature)] += 1;
-    return counts;
-}
-
 int
 DecisionTreeRegressor::depth() const
 {
@@ -473,31 +464,6 @@ DecisionTreeRegressor::toText() const
             stack.push_back(node.left);
         }
     }
-    return os.str();
-}
-
-std::string
-DecisionTreeRegressor::toDot() const
-{
-    std::ostringstream os;
-    os << "digraph DecisionTree {\n  node [shape=box];\n";
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        const Node& node = nodes_[i];
-        if (node.leaf) {
-            os << "  n" << i << " [label=\"" << node.value
-               << "\\nn=" << node.samples << "\"];\n";
-        } else {
-            os << "  n" << i << " [label=\""
-               << featureLabel(featureNames_, node.feature)
-               << " <= " << node.threshold << "\\nn=" << node.samples
-               << "\"];\n";
-            os << "  n" << i << " -> n" << node.left
-               << " [label=\"yes\"];\n";
-            os << "  n" << i << " -> n" << node.right
-               << " [label=\"no\"];\n";
-        }
-    }
-    os << "}\n";
     return os.str();
 }
 

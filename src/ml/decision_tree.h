@@ -132,12 +132,6 @@ class DecisionTreeRegressor
     /** The internal decision nodes visited by a sample, in order. */
     std::vector<DecisionStep> decisionPath(std::span<const double> x) const;
 
-    /**
-     * How many times each feature is tested on the sample's decision
-     * path (the quantity plotted in Figures 11-12).
-     */
-    std::vector<int> featureUsageCounts(std::span<const double> x) const;
-
     /** Total number of nodes (internal + leaves). */
     std::size_t nodeCount() const { return nodes_.size(); }
 
@@ -171,9 +165,6 @@ class DecisionTreeRegressor
 
     /** Readable multi-line rendering of the tree. */
     std::string toText() const;
-
-    /** Graphviz DOT rendering. */
-    std::string toDot() const;
 
   private:
     struct Node

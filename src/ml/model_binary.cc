@@ -1,8 +1,5 @@
 #include "ml/model_binary.h"
 
-#include <fstream>
-#include <sstream>
-
 #include "cache/binary_io.h"
 #include "common/error.h"
 #include "common/log.h"
@@ -90,30 +87,6 @@ treeFromBinary(const std::string& blob, const std::string& source)
     DecisionTreeRegressor tree = readTreeBody(r);
     r.expectEnd();
     return tree;
-}
-
-void
-writeModelFile(const std::string& blob, const std::string& path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        raise({ErrorCode::Io, "cannot open for writing", {path, 0, ""}});
-    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    if (!out)
-        raise({ErrorCode::Io, "write failed", {path, 0, ""}});
-}
-
-std::string
-readModelFile(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        raise({ErrorCode::Io, "cannot open file", {path, 0, ""}});
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    if (in.bad())
-        raise({ErrorCode::Io, "read failed", {path, 0, ""}});
-    return std::move(ss).str();
 }
 
 }  // namespace mapp::ml

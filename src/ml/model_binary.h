@@ -32,12 +32,6 @@ std::string treeToBinary(const DecisionTreeRegressor& tree);
 DecisionTreeRegressor treeFromBinary(const std::string& blob,
                                      const std::string& source = "");
 
-/** Write a model blob to a file. @throws InputError on I/O failure. */
-void writeModelFile(const std::string& blob, const std::string& path);
-
-/** Read a model blob from a file. @throws InputError on I/O failure. */
-std::string readModelFile(const std::string& path);
-
 }  // namespace mapp::ml
 
 #endif  // MAPP_ML_MODEL_BINARY_H

@@ -87,14 +87,4 @@ SvrRegressor::predict(const Dataset& data) const
     return out;
 }
 
-std::size_t
-SvrRegressor::supportVectorCount() const
-{
-    std::size_t count = 0;
-    for (double b : beta_)
-        if (b != 0.0)
-            ++count;
-    return count;
-}
-
 }  // namespace mapp::ml

@@ -44,9 +44,6 @@ class SvrRegressor
     /** Predict all rows. */
     std::vector<double> predict(const Dataset& data) const;
 
-    /** Number of support vectors (nonzero dual coefficients). */
-    std::size_t supportVectorCount() const;
-
     bool trained() const { return !x_.empty(); }
 
   private:

@@ -1,19 +1,10 @@
 #include "obs/audit.h"
 
-#include <cmath>
-#include <fstream>
-
 #include "common/file_io.h"
 #include "common/log.h"
 #include "obs/json_util.h"
 
 namespace mapp::obs {
-
-bool
-PredictionRecord::hasActual() const
-{
-    return std::isfinite(actualSeconds);
-}
 
 PredictionLog::PredictionLog(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity)
@@ -40,21 +31,6 @@ PredictionLog::resetSlot(PredictionRecord& slot)
     slot.uncertaintySeconds = 0.0;
     slot.pathSummary.clear();
     slot.actualSeconds = std::numeric_limits<double>::quiet_NaN();
-}
-
-void
-PredictionLog::record(PredictionRecord record)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(record));
-    } else {
-        // Moving into the slot frees the evicted record's buffers; the
-        // ring itself never reallocates after warm-up.
-        ring_[head_] = std::move(record);
-        head_ = (head_ + 1) % capacity_;
-    }
-    written_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

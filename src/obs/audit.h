@@ -13,8 +13,8 @@
  * atomic load. When enabled, a batch of n predictions costs one
  * fetch_add for the whole batch (reserve(n)) plus record construction
  * only for the sampled rows, so audit overhead scales with the sample
- * period, not the batch size. record() takes a mutex — only sampled
- * rows ever reach it.
+ * period, not the batch size. recordChunkInPlace() takes a mutex —
+ * only sampled rows ever reach it.
  */
 
 #ifndef MAPP_OBS_AUDIT_H
@@ -44,8 +44,6 @@ struct PredictionRecord
     std::string pathSummary;  ///< dominant decision path, "f<=v -> ..."
     /** Ground truth in seconds; NaN until/unless it is known. */
     double actualSeconds = std::numeric_limits<double>::quiet_NaN();
-
-    bool hasActual() const;
 };
 
 /** Default ring capacity (records kept, oldest evicted first). */
@@ -101,35 +99,16 @@ class PredictionLog
         return seq % samplePeriod() == 0;
     }
 
-    /** Append a record (overwrites the oldest once full). */
-    void record(PredictionRecord record);
-
     /**
-     * Append by filling the slot in place: @p fill runs under the log
-     * mutex on a slot whose string/vector buffers are REUSED across
+     * Record a chunk of sampled rows under ONE lock acquisition:
+     * @p fill(id, slot) runs once per id in @p ids, under the log
+     * mutex, on a slot whose string/vector buffers are REUSED across
      * evictions, so a steady-state record performs no allocation —
      * this is what keeps 1%-sampled auditing inside the serving
-     * path's overhead budget. The slot arrives reset to a default
+     * path's overhead budget. Each slot arrives reset to a default
      * record (seq 0, NaN actual, buffers cleared but capacity kept);
      * @p fill must set every field it cares about via assign()-style
      * writes.
-     */
-    template <typename Fill>
-    void recordInPlace(Fill&& fill)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        PredictionRecord& slot = nextSlotLocked();
-        resetSlot(slot);
-        fill(slot);
-        written_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /**
-     * Record a chunk of sampled rows under ONE lock acquisition:
-     * @p fill(id, slot) is invoked once per id in @p ids with the same
-     * in-place slot-reuse guarantee as recordInPlace(). Batch audit
-     * paths use this so the mutex is taken once per chunk rather than
-     * once per sampled row.
      */
     template <typename Fill>
     void recordChunkInPlace(std::span<const std::uint64_t> ids,

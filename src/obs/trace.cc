@@ -82,21 +82,6 @@ Tracer::instantEvent(std::string name, std::string category,
 }
 
 void
-Tracer::counterEvent(std::string name, double ts_us, int pid,
-                     std::vector<TraceArg> values)
-{
-    if (!enabled())
-        return;
-    TraceEvent e;
-    e.name = std::move(name);
-    e.kind = TraceEventKind::Counter;
-    e.tsUs = ts_us;
-    e.pid = pid;
-    e.args = std::move(values);
-    record(std::move(e));
-}
-
-void
 Tracer::record(TraceEvent event)
 {
     if (!enabled())
@@ -130,8 +115,6 @@ phaseLetter(TraceEventKind kind)
         return 'X';
       case TraceEventKind::Instant:
         return 'i';
-      case TraceEventKind::Counter:
-        return 'C';
       case TraceEventKind::Metadata:
         return 'M';
     }

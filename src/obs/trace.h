@@ -59,7 +59,6 @@ struct TraceArg
 enum class TraceEventKind {
     Complete,  ///< a span: "ph":"X" with ts + dur
     Instant,   ///< a point: "ph":"i"
-    Counter,   ///< a sampled value: "ph":"C"
     Metadata,  ///< process/thread naming: "ph":"M"
 };
 
@@ -119,10 +118,6 @@ class Tracer
     void instantEvent(std::string name, std::string category,
                       double ts_us, int pid, int tid,
                       std::vector<TraceArg> args = {});
-
-    /** Record a counter sample. No-op while disabled. */
-    void counterEvent(std::string name, double ts_us, int pid,
-                      std::vector<TraceArg> values);
 
     /** Copy of every recorded event, in record order. */
     std::vector<TraceEvent> snapshot() const;

@@ -141,16 +141,4 @@ RangeNormalizer::denormalizeInPlace(std::span<double> values) const
         v *= scale_;
 }
 
-std::vector<double>
-RangeNormalizer::applyRow(const ml::Dataset& reference,
-                          std::vector<double> row) const
-{
-    if (row.size() != reference.numFeatures())
-        fatal("RangeNormalizer::applyRow: feature count mismatch");
-    for (std::size_t f = 0; f < row.size(); ++f)
-        if (isTimeFeature(reference.featureNames()[f]))
-            row[f] /= scale_;
-    return row;
-}
-
 }  // namespace mapp::predictor

@@ -79,10 +79,6 @@ class RangeNormalizer
     /** A copy of @p data with time features and targets scaled. */
     ml::Dataset apply(const ml::Dataset& data) const;
 
-    /** Scale one raw feature vector laid out like the dataset. */
-    std::vector<double> applyRow(const ml::Dataset& reference,
-                                 std::vector<double> row) const;
-
     /**
      * Which features of a layout are time-typed (1 = scaled by the
      * normalizer). Computed once per layout so batch normalization

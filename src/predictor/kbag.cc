@@ -18,19 +18,6 @@ KBagSpec::canonical() const
 }
 
 std::string
-KBagSpec::label() const
-{
-    std::ostringstream os;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i)
-            os << '+';
-        os << vision::benchmarkName(members[i].id) << '@'
-           << members[i].batchSize;
-    }
-    return os.str();
-}
-
-std::string
 KBagSpec::groupLabel() const
 {
     std::ostringstream os;
@@ -171,27 +158,6 @@ KBagPredictor::predict(const KBagPoint& point) const
     auto row = buildKBagVector(point);
     normalizer_.applyBatchInPlace(row, timeMask_);
     return normalizer_.denormalizeTarget(tree_.predict(row));
-}
-
-std::vector<double>
-KBagPredictor::predictBatch(const std::vector<KBagPoint>& points) const
-{
-    if (!tree_.trained())
-        fatal("KBagPredictor::predictBatch: model not trained");
-    const std::size_t nF = timeMask_.size();
-    std::vector<double> flat;
-    flat.reserve(points.size() * nF);
-    for (const auto& point : points) {
-        if (static_cast<int>(point.apps.size()) != k_)
-            fatal("KBagPredictor::predictBatch: bag size mismatch");
-        const auto row = buildKBagVector(point);
-        flat.insert(flat.end(), row.begin(), row.end());
-    }
-    normalizer_.applyBatchInPlace(flat, timeMask_);
-    std::vector<double> out(points.size());
-    tree_.predictBatch(flat, nF, out);
-    normalizer_.denormalizeInPlace(out);
-    return out;
 }
 
 }  // namespace mapp::predictor

@@ -29,9 +29,6 @@ struct KBagSpec
     /** Sorted copy (canonical feature order). */
     KBagSpec canonical() const;
 
-    /** "FAST@20+HoG@20+SIFT@40" style label. */
-    std::string label() const;
-
     /** "FAST+HoG+SIFT" group label. */
     std::string groupLabel() const;
 };
@@ -90,13 +87,6 @@ class KBagPredictor
 
     /** Predict the GPU makespan of a measured k-bag's inputs. */
     double predict(const KBagPoint& point) const;
-
-    /**
-     * Predict a batch of k-bags in one pass through the tree;
-     * element i equals predict(points[i]) bit for bit.
-     */
-    std::vector<double> predictBatch(
-        const std::vector<KBagPoint>& points) const;
 
     bool trained() const { return tree_.trained(); }
 

@@ -414,20 +414,4 @@ MultiAppPredictor::looBenchmarkCv(const ml::Dataset& raw,
     return result;
 }
 
-double
-MultiAppPredictor::holdoutRelativeError(const ml::Dataset& raw,
-                                        const PredictorParams& params,
-                                        double test_fraction, Rng& rng)
-{
-    auto [train, test] = raw.trainTestSplit(test_fraction, rng);
-    if (train.empty() || test.empty())
-        fatal("holdoutRelativeError: degenerate split");
-
-    MultiAppPredictor model(params);
-    model.train(train);
-    const auto predictions = model.predictDataset(test);
-    model.observeGroundTruth(test, predictions);
-    return ml::meanRelativeErrorPercent(test.targets(), predictions);
-}
-
 }  // namespace mapp::predictor

@@ -138,11 +138,6 @@ class MultiAppPredictor
         const ml::Dataset& raw, const PredictorParams& params,
         const std::vector<std::string>& benchmarks);
 
-    /** An 80/20 shuffled split evaluation (Section V-D.2). */
-    static double holdoutRelativeError(const ml::Dataset& raw,
-                                       const PredictorParams& params,
-                                       double test_fraction, Rng& rng);
-
   private:
     ml::Dataset projectAndNormalizeTrain(const ml::Dataset& raw);
 

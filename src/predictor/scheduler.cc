@@ -36,15 +36,6 @@ CoScheduler::CoScheduler(const MultiAppPredictor& model,
 {
 }
 
-double
-CoScheduler::predictBag(const BagSpec& raw_spec) const
-{
-    const BagSpec spec = raw_spec.canonical();
-    const double fairness = collector_.measureFairness(spec);
-    return model_.predict(collector_.appFeatures(spec.a),
-                          collector_.appFeatures(spec.b), fairness);
-}
-
 CoScheduler::Round
 CoScheduler::makeRound(const std::vector<BagMember>& jobs) const
 {

@@ -60,9 +60,6 @@ class CoScheduler
     Schedule schedule(const std::vector<BagMember>& jobs,
                       PairingPolicy policy) const;
 
-    /** Predicted GPU time of one bag (features + CPU fairness only). */
-    double predictBag(const BagSpec& spec) const;
-
     /**
      * Measured total GPU time of executing a schedule's bags serially
      * (ground truth for evaluating a policy).

@@ -5,9 +5,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/log.h"
@@ -59,6 +61,7 @@ struct Server::Connection
     std::mutex writeMutex;  ///< serializes responses; guards fd close
     bool closed = false;    ///< under writeMutex
     std::thread reader;
+    std::atomic<bool> finished{false};  ///< the reader loop has exited
 
     ~Connection()
     {
@@ -374,6 +377,29 @@ Server::connectionLoop(std::shared_ptr<Connection> connection)
                 handleLine(line, respond);
         }
     }
+    connection->finished.store(true);
+}
+
+void
+Server::reapFinishedConnections()
+{
+    std::vector<std::shared_ptr<Connection>> finished;
+    {
+        std::lock_guard<std::mutex> lock(connectionsMutex_);
+        const auto done = std::partition(
+            connections_.begin(), connections_.end(),
+            [](const std::shared_ptr<Connection>& connection) {
+                return !connection->finished.load();
+            });
+        finished.assign(std::make_move_iterator(done),
+                        std::make_move_iterator(connections_.end()));
+        connections_.erase(done, connections_.end());
+    }
+    // Each reader has returned, so the joins do not block. The fd
+    // closes when the last pending batch callback drops its reference.
+    for (auto& connection : finished)
+        if (connection->reader.joinable())
+            connection->reader.join();
 }
 
 StopCause
@@ -416,6 +442,7 @@ Server::serveSocket(const std::string& path)
         }
         if ((fds[1].revents & POLLIN) != 0)
             break;
+        reapFinishedConnections();
         const int clientFd = ::accept(listenFd, nullptr, nullptr);
         if (clientFd < 0)
             continue;

@@ -100,6 +100,9 @@ class Server
 
     void connectionLoop(std::shared_ptr<Connection> connection);
 
+    /** Join and drop the connections whose client hung up. */
+    void reapFinishedConnections();
+
     PredictionService& service_;
     predictor::DataCollector& collector_;
 

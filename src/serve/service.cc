@@ -165,13 +165,6 @@ PredictionService::draining() const
     return draining_;
 }
 
-std::shared_ptr<const predictor::MultiAppPredictor>
-PredictionService::model() const
-{
-    std::lock_guard<std::mutex> lock(modelMutex_);
-    return model_;
-}
-
 std::uint64_t
 PredictionService::epoch() const
 {

@@ -135,9 +135,6 @@ class PredictionService
     /** True once drain() began (new submissions are refused). */
     bool draining() const;
 
-    /** The served model (the current epoch's). */
-    std::shared_ptr<const predictor::MultiAppPredictor> model() const;
-
     /** Monotonic model version; starts at 1, bumped by reload(). */
     std::uint64_t epoch() const;
 

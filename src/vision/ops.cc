@@ -1,10 +1,8 @@
 #include "vision/ops.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "common/error.h"
 #include "profiler/op_profiler.h"
@@ -486,34 +484,6 @@ integral(const Image& img)
     return ii;
 }
 
-std::vector<double>
-histogram(std::span<const float> values, int bins, float lo, float hi)
-{
-    std::vector<double> out(static_cast<std::size_t>(bins), 0.0);
-    const float width = (hi - lo) / static_cast<float>(bins);
-    for (float v : values) {
-        int b = static_cast<int>((v - lo) / width);
-        b = std::clamp(b, 0, bins - 1);
-        out[static_cast<std::size_t>(b)] += 1.0;
-    }
-    const auto n = static_cast<InstCount>(values.size());
-    PhaseBuilder("histogram")
-        .insts(InstClass::MemRead, n * 2)
-        .insts(InstClass::MemWrite, n)
-        .insts(InstClass::IntAlu, n * 3)
-        .insts(InstClass::FpAlu, n * 2)
-        .insts(InstClass::Control, n * 2)
-        .read(n * kF)
-        .write(n * static_cast<Bytes>(sizeof(double)) / 4)
-        .foot(static_cast<Bytes>(values.size()) * kF)
-        .par(0.7)  // bin updates contend
-        .items(n)
-        .loc(0.95)
-        .div(0.3)
-        .record();
-    return out;
-}
-
 std::vector<std::pair<int, int>>
 nonMaxSuppress(const Image& response, float threshold, int radius)
 {
@@ -559,31 +529,6 @@ nonMaxSuppress(const Image& response, float threshold, int radius)
         .div(0.6)  // data-dependent rejection
         .record();
     return maxima;
-}
-
-double
-dot(std::span<const float> a, std::span<const float> b)
-{
-    const std::size_t n = std::min(a.size(), b.size());
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-
-    const auto in = static_cast<InstCount>(n);
-    PhaseBuilder("dot")
-        .insts(InstClass::MemRead, in * 2)
-        .insts(InstClass::Simd, in * 3 / 2)  // fused multiply-add lanes
-        .insts(InstClass::FpAlu, in / 4)
-        .insts(InstClass::IntAlu, in / 4)
-        .insts(InstClass::Control, in / 8 + 1)
-        .read(in * 2 * kF)
-        .foot(static_cast<Bytes>(n) * 2 * kF)
-        .par(0.9)
-        .items(in)
-        .loc(0.5)
-        .div(0.02)
-        .record();
-    return acc;
 }
 
 std::vector<double>
@@ -667,70 +612,6 @@ distanceMatrix(const std::vector<Descriptor>& a,
         .div(0.02)
         .record();
     return out;
-}
-
-std::vector<int>
-topKSmallest(std::span<const double> values, int k)
-{
-    std::vector<int> idx;
-    std::vector<bool> used(values.size(), false);
-    InstCount scans = 0;
-    for (int sel = 0; sel < k && sel < static_cast<int>(values.size());
-         ++sel) {
-        double best = std::numeric_limits<double>::infinity();
-        int bestIdx = -1;
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            ++scans;
-            if (!used[i] && values[i] < best) {
-                best = values[i];
-                bestIdx = static_cast<int>(i);
-            }
-        }
-        if (bestIdx < 0)
-            break;
-        used[static_cast<std::size_t>(bestIdx)] = true;
-        idx.push_back(bestIdx);
-    }
-    PhaseBuilder("top_k_select")
-        .insts(InstClass::MemRead, scans)
-        .insts(InstClass::FpAlu, scans)
-        .insts(InstClass::Control, scans * 2)
-        .insts(InstClass::IntAlu, scans)
-        .insts(InstClass::MemWrite, static_cast<InstCount>(idx.size()))
-        .read(scans * static_cast<Bytes>(sizeof(double)))
-        .foot(static_cast<Bytes>(values.size()) *
-              static_cast<Bytes>(sizeof(double)))
-        .par(0.8)
-        .items(static_cast<std::uint64_t>(values.size()))
-        .loc(0.7)
-        .div(0.5)
-        .record();
-    return idx;
-}
-
-int
-hammingDistance(const BinaryDescriptor& a, const BinaryDescriptor& b)
-{
-    const std::size_t n = std::min(a.size(), b.size());
-    int dist = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        dist += std::popcount(
-            static_cast<unsigned>(a[i] ^ b[i]));
-
-    const auto in = static_cast<InstCount>(n);
-    PhaseBuilder("hamming")
-        .insts(InstClass::MemRead, in * 2)
-        .insts(InstClass::IntAlu, in * 2)
-        .insts(InstClass::Shift, in)
-        .insts(InstClass::Control, in / 4 + 1)
-        .read(in * 2)
-        .foot(static_cast<Bytes>(n) * 2)
-        .par(0.9)
-        .items(in)
-        .loc(0.6)
-        .div(0.05)
-        .record();
-    return dist;
 }
 
 Image

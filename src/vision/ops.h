@@ -96,19 +96,12 @@ Image resizeBilinear(const Image& img, int w, int h);
 /** Instrumented integral-image construction. */
 IntegralImage integral(const Image& img);
 
-/** Histogram of values into @p bins equal-width bins over [lo, hi). */
-std::vector<double> histogram(std::span<const float> values, int bins,
-                              float lo, float hi);
-
 /**
  * 2-D non-maximum suppression on a response map: returns (x, y) of local
  * maxima above @p threshold within a (2r+1)^2 neighborhood.
  */
 std::vector<std::pair<int, int>> nonMaxSuppress(const Image& response,
                                                 float threshold, int radius);
-
-/** Instrumented dot product (SSE-heavy mix, like a BLAS-1 kernel). */
-double dot(std::span<const float> a, std::span<const float> b);
 
 /**
  * All-pairs squared Euclidean distances between row sets; result is
@@ -119,15 +112,6 @@ double dot(std::span<const float> a, std::span<const float> b);
  */
 std::vector<double> distanceMatrix(
     const std::vector<Descriptor>& a, const std::vector<Descriptor>& b);
-
-/**
- * Indices of the k smallest values in @p values (selection by repeated
- * scan; control-heavy mix akin to a GPU top-k).
- */
-std::vector<int> topKSmallest(std::span<const double> values, int k);
-
-/** Hamming distance between equal-length binary descriptors. */
-int hammingDistance(const BinaryDescriptor& a, const BinaryDescriptor& b);
 
 /**
  * Instrumented buffer copy (string-class mix): models the memcpy-style

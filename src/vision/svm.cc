@@ -116,19 +116,6 @@ LinearSvm::predict(const Descriptor& x) const
     return decision(x) >= 0.0 ? 1 : -1;
 }
 
-double
-LinearSvm::accuracy(const std::vector<Descriptor>& x,
-                    const std::vector<int>& y) const
-{
-    if (x.empty())
-        return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < x.size(); ++i)
-        if (predict(x[i]) == y[i])
-            ++correct;
-    return static_cast<double>(correct) / static_cast<double>(x.size());
-}
-
 std::size_t
 runSvmBenchmark(const std::vector<Image>& batch, const SvmParams& params)
 {

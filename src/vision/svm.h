@@ -41,10 +41,6 @@ class LinearSvm
     /** Predicted label in {-1, +1}. */
     int predict(const Descriptor& x) const;
 
-    /** Fraction of correctly classified samples. */
-    double accuracy(const std::vector<Descriptor>& x,
-                    const std::vector<int>& y) const;
-
     const std::vector<double>& weights() const { return w_; }
     double bias() const { return b_; }
     bool trained() const { return !w_.empty(); }

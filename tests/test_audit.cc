@@ -39,6 +39,17 @@ makeRecord(std::uint64_t seq, double predicted)
     return r;
 }
 
+// Append one whole record through the production chunk path.
+void
+record(obs::PredictionLog& log, const obs::PredictionRecord& r)
+{
+    const std::uint64_t id = r.seq;
+    log.recordChunkInPlace({&id, 1},
+                           [&](std::uint64_t, obs::PredictionRecord& slot) {
+                               slot = r;
+                           });
+}
+
 // ---------------------------------------------------------------------------
 // PredictionLog core semantics
 
@@ -87,7 +98,7 @@ TEST(PredictionLog, RingKeepsNewestOldestFirst)
 {
     obs::PredictionLog log(4);
     for (std::uint64_t i = 0; i < 10; ++i)
-        log.record(makeRecord(i, static_cast<double>(i)));
+        record(log, makeRecord(i, static_cast<double>(i)));
 
     EXPECT_EQ(log.totalRecorded(), 10u);
     const auto records = log.snapshot();
@@ -96,16 +107,17 @@ TEST(PredictionLog, RingKeepsNewestOldestFirst)
         EXPECT_EQ(records[i].seq, 6u + i);  // oldest retained first
 }
 
-TEST(PredictionLog, RecordInPlaceFillsResetSlot)
+TEST(PredictionLog, RecordChunkInPlaceFillsResetSlot)
 {
     obs::PredictionLog log(2);
     // Fill past capacity so in-place records hit recycled slots.
     for (std::uint64_t i = 0; i < 5; ++i) {
-        log.recordInPlace([&](obs::PredictionRecord& r) {
-            r.seq = i;
+        log.recordChunkInPlace({&i, 1}, [](std::uint64_t id,
+                                           obs::PredictionRecord& r) {
+            r.seq = id;
             r.model.assign("inplace");
-            r.features.assign({static_cast<double>(i)});
-            r.predictedSeconds = 2.0 * static_cast<double>(i);
+            r.features.assign({static_cast<double>(id)});
+            r.predictedSeconds = 2.0 * static_cast<double>(id);
         });
     }
     const auto records = log.snapshot();
@@ -114,7 +126,7 @@ TEST(PredictionLog, RecordInPlaceFillsResetSlot)
         EXPECT_EQ(r.model, "inplace");
         ASSERT_EQ(r.features.size(), 1u);  // recycled buffer was reset
         EXPECT_DOUBLE_EQ(r.features[0], static_cast<double>(r.seq));
-        EXPECT_FALSE(r.hasActual());  // NaN until annotated
+        EXPECT_FALSE(std::isfinite(r.actualSeconds));  // NaN until annotated
     }
 }
 
@@ -145,18 +157,18 @@ TEST(PredictionLog, AnnotateAttachesGroundTruthBySeq)
 {
     obs::PredictionLog log(8);
     for (std::uint64_t i = 0; i < 8; ++i)
-        log.record(makeRecord(i, 0.0));
+        record(log, makeRecord(i, 0.0));
 
     const std::vector<double> actuals{10.0, 11.0, 12.0};
     log.annotate(3, actuals);
 
     for (const auto& r : log.snapshot()) {
         if (r.seq >= 3 && r.seq < 6) {
-            ASSERT_TRUE(r.hasActual()) << "seq " << r.seq;
+            ASSERT_TRUE(std::isfinite(r.actualSeconds)) << "seq " << r.seq;
             EXPECT_DOUBLE_EQ(r.actualSeconds,
                              actuals[static_cast<std::size_t>(r.seq - 3)]);
         } else {
-            EXPECT_FALSE(r.hasActual()) << "seq " << r.seq;
+            EXPECT_FALSE(std::isfinite(r.actualSeconds)) << "seq " << r.seq;
         }
     }
 }
@@ -165,7 +177,7 @@ TEST(PredictionLog, ClearResetsSequenceAndRecords)
 {
     obs::PredictionLog log(4);
     log.reserve(7);
-    log.record(makeRecord(0, 1.0));
+    record(log, makeRecord(0, 1.0));
     log.clear();
     EXPECT_EQ(log.totalSeen(), 0u);
     EXPECT_EQ(log.totalRecorded(), 0u);
@@ -179,8 +191,8 @@ TEST(PredictionLog, JsonlLinesParseAndRoundTripFields)
     auto r = makeRecord(42, 1.25);
     r.uncertaintySeconds = 0.5;
     r.actualSeconds = 1.5;
-    log.record(r);
-    log.record(makeRecord(43, 2.0));  // actual stays NaN -> null
+    record(log, r);
+    record(log, makeRecord(43, 2.0));  // actual stays NaN -> null
 
     std::istringstream lines(log.toJsonl());
     std::string line;
@@ -216,13 +228,15 @@ TEST(PredictionLog, ConcurrentWritersLoseNothing)
             for (int i = 0; i < kPerThread; ++i) {
                 const std::uint64_t seq = log.reserve(1);
                 if (i % 2 == 0) {
-                    log.record(makeRecord(seq, static_cast<double>(t)));
+                    record(log, makeRecord(seq, static_cast<double>(t)));
                 } else {
-                    log.recordInPlace([&](obs::PredictionRecord& r) {
-                        r.seq = seq;
-                        r.model.assign("thread");
-                        r.predictedSeconds = static_cast<double>(t);
-                    });
+                    log.recordChunkInPlace(
+                        {&seq, 1},
+                        [t](std::uint64_t id, obs::PredictionRecord& r) {
+                            r.seq = id;
+                            r.model.assign("thread");
+                            r.predictedSeconds = static_cast<double>(t);
+                        });
                 }
             }
         });
@@ -359,7 +373,7 @@ TEST(PredictorAudit, DatasetPredictionsAreAuditedAndAnnotated)
         EXPECT_EQ(r.features.size(), evalSet.numFeatures());
         EXPECT_TRUE(std::isfinite(r.predictedSeconds));
         EXPECT_FALSE(r.pathSummary.empty());
-        annotated += r.hasActual() ? 1 : 0;
+        annotated += std::isfinite(r.actualSeconds) ? 1 : 0;
     }
     // Ground truth for the whole batch was attached.
     EXPECT_EQ(annotated, records.size());

@@ -65,15 +65,18 @@ TEST(LinearSvm, LearnsSeparableProblem)
     std::vector<int> ys;
     for (int i = 0; i < 40; ++i) {
         const float center = i % 2 == 0 ? 2.0f : -2.0f;
-        Descriptor d{center + static_cast<float>(rng.normal(0.0, 0.3)),
-                     static_cast<float>(rng.normal(0.0, 0.3))};
+        Descriptor d{center + static_cast<float>(0.3 * rng.normal()),
+                     static_cast<float>(0.3 * rng.normal())};
         xs.push_back(d);
         ys.push_back(i % 2 == 0 ? 1 : -1);
     }
     LinearSvm svm;
     svm.train(xs, ys);
     EXPECT_TRUE(svm.trained());
-    EXPECT_GE(svm.accuracy(xs, ys), 0.95);
+    int correct = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        correct += svm.predict(xs[i]) == ys[i] ? 1 : 0;
+    EXPECT_GE(correct, 38);  // >= 95% of 40
 }
 
 TEST(LinearSvm, DecisionSignMatchesPrediction)

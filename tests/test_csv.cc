@@ -1,98 +1,19 @@
-/** @file Unit tests for CSV parsing and writing. */
+/** @file Unit tests for CSV writing: RFC 4180 quoting. */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
-#include <stdexcept>
 
 #include "common/csv.h"
-#include "common/error.h"
 
 namespace {
 
 using namespace mapp;
 
-TEST(Csv, ParseSimpleTable)
-{
-    const auto t = parseCsv("a,b,c\n1,2,3\n4,5,6\n");
-    ASSERT_EQ(t.header.size(), 3u);
-    EXPECT_EQ(t.header[0], "a");
-    ASSERT_EQ(t.rows.size(), 2u);
-    EXPECT_EQ(t.rows[1][2], "6");
-}
-
-TEST(Csv, ParseQuotedCells)
-{
-    const auto t = parseCsv("name,desc\nx,\"hello, world\"\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][1], "hello, world");
-}
-
-TEST(Csv, ParseEscapedQuotes)
-{
-    const auto t = parseCsv("a\n\"he said \"\"hi\"\"\"\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][0], "he said \"hi\"");
-}
-
-TEST(Csv, ParseEmbeddedNewline)
-{
-    const auto t = parseCsv("a,b\n\"line1\nline2\",x\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][0], "line1\nline2");
-}
-
-TEST(Csv, ParseCrLf)
-{
-    const auto t = parseCsv("a,b\r\n1,2\r\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][1], "2");
-}
-
-TEST(Csv, ParseEmptyText)
-{
-    const auto t = parseCsv("");
-    EXPECT_TRUE(t.header.empty());
-    EXPECT_TRUE(t.rows.empty());
-}
-
-TEST(Csv, ParseQuotedCellWithCrLfInside)
-{
-    // CRLF inside quotes is cell content (the CR survives; only bare
-    // CRs outside quotes are line-ending noise and get dropped).
-    const auto t = parseCsv("a,b\r\n\"one\r\ntwo\",x\r\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][0], "one\r\ntwo");
-    EXPECT_EQ(t.rows[0][1], "x");
-}
-
-TEST(Csv, TrailingCommaMakesEmptyLastCell)
-{
-    const auto t = parseCsv("a,b\n1,\n");
-    ASSERT_EQ(t.rows.size(), 1u);
-    ASSERT_EQ(t.rows[0].size(), 2u);
-    EXPECT_EQ(t.rows[0][1], "");
-}
-
-TEST(Csv, TrailingCommaAtEofWithoutNewline)
-{
-    const auto t = parseCsv("a,b\n1,");
-    ASSERT_EQ(t.rows.size(), 1u);
-    ASSERT_EQ(t.rows[0].size(), 2u);
-    EXPECT_EQ(t.rows[0][0], "1");
-    EXPECT_EQ(t.rows[0][1], "");
-}
-
-TEST(Csv, FinalRecordWithoutTrailingNewline)
-{
-    const auto t = parseCsv("a,b\n1,2");
-    ASSERT_EQ(t.rows.size(), 1u);
-    EXPECT_EQ(t.rows[0][1], "2");
-}
-
 TEST(Csv, EscapePlainCellUnchanged)
 {
     EXPECT_EQ(csvEscape("hello"), "hello");
+    EXPECT_EQ(csvEscape(""), "");
 }
 
 TEST(Csv, EscapeCommaAndQuote)
@@ -101,88 +22,20 @@ TEST(Csv, EscapeCommaAndQuote)
     EXPECT_EQ(csvEscape("say \"hi\""), "\"say \"\"hi\"\"\"");
 }
 
-TEST(Csv, RoundTripThroughWriter)
+TEST(Csv, EscapeLineBreaks)
 {
-    CsvTable t;
-    t.header = {"x", "label"};
-    t.rows = {{"1.5", "alpha,beta"}, {"2.5", "plain"}};
-    const std::string text = toCsv(t);
-    const auto back = parseCsv(text);
-    EXPECT_EQ(back.header, t.header);
-    EXPECT_EQ(back.rows, t.rows);
+    EXPECT_EQ(csvEscape("line1\nline2"), "\"line1\nline2\"");
+    EXPECT_EQ(csvEscape("a\rb"), "\"a\rb\"");
 }
 
-TEST(Csv, NumericColumnParses)
-{
-    const auto t = parseCsv("x,y\n1.5,a\n2.5,b\n");
-    const auto xs = t.numericColumn("x");
-    ASSERT_EQ(xs.size(), 2u);
-    EXPECT_DOUBLE_EQ(xs[0], 1.5);
-    EXPECT_DOUBLE_EQ(xs[1], 2.5);
-}
-
-TEST(Csv, NumericColumnMissingThrows)
-{
-    const auto t = parseCsv("x\n1\n");
-    EXPECT_THROW(t.numericColumn("nope"), std::runtime_error);
-}
-
-TEST(Csv, NumericColumnRejectsTrailingGarbage)
-{
-    // The old parser accepted "1.5abc" as 1.5; the strict one must
-    // refuse and name the column and data row.
-    const auto t = parseCsv("x,y\n1.5,0\n1.5abc,0\n", "bags.csv");
-    try {
-        (void)t.numericColumn("x");
-        FAIL() << "trailing garbage accepted";
-    } catch (const InputError& e) {
-        EXPECT_EQ(e.error().context().file, "bags.csv");
-        EXPECT_EQ(e.error().context().row, 2u);
-        EXPECT_EQ(e.error().context().column, "x");
-        EXPECT_NE(std::string(e.what()).find("1.5abc"),
-                  std::string::npos);
-    }
-}
-
-TEST(Csv, NumericColumnRejectsNanInfAndEmpty)
-{
-    EXPECT_THROW(parseCsv("x\nnan\n").numericColumn("x"), InputError);
-    EXPECT_THROW(parseCsv("x\ninf\n").numericColumn("x"), InputError);
-    EXPECT_THROW(parseCsv("x\n\"\"\n").numericColumn("x"), InputError);
-}
-
-TEST(Csv, NumericColumnShortRowIsLocated)
-{
-    const auto t = parseCsv("x,y\n1,2\n3\n");
-    try {
-        (void)t.numericColumn("y");
-        FAIL() << "short row accepted";
-    } catch (const InputError& e) {
-        EXPECT_EQ(e.error().code(), ErrorCode::Schema);
-        EXPECT_EQ(e.error().context().row, 2u);
-    }
-}
-
-TEST(Csv, ColumnIndexLookup)
-{
-    const auto t = parseCsv("a,b\n1,2\n");
-    EXPECT_EQ(t.columnIndex("b"), 1);
-    EXPECT_EQ(t.columnIndex("z"), -1);
-}
-
-TEST(Csv, WriterNumericRowFullPrecision)
+TEST(Csv, WriterQuotesOnlyCellsThatNeedIt)
 {
     std::ostringstream os;
     CsvWriter w(os);
-    w.writeHeader({"v"});
-    w.writeNumericRow({0.1234567890123456});
-    const auto t = parseCsv(os.str());
-    EXPECT_NEAR(t.numericColumn("v")[0], 0.1234567890123456, 1e-16);
-}
-
-TEST(Csv, ReadCsvFileMissingThrows)
-{
-    EXPECT_THROW(readCsvFile("/nonexistent/path.csv"), std::runtime_error);
+    w.writeHeader({"x", "label"});
+    w.writeRow({"1.5", "alpha,beta"});
+    w.writeRow({"", "plain"});
+    EXPECT_EQ(os.str(), "x,label\n1.5,\"alpha,beta\"\n,plain\n");
 }
 
 }  // namespace

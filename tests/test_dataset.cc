@@ -46,13 +46,6 @@ TEST(Dataset, FeatureIndexAndColumn)
     EXPECT_EQ(d.column(0), (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
-TEST(Dataset, DistinctGroupsInOrder)
-{
-    const auto d = smallDataset();
-    EXPECT_EQ(d.distinctGroups(),
-              (std::vector<std::string>{"A", "B", "C"}));
-}
-
 TEST(Dataset, SelectFeaturesReordersColumns)
 {
     const auto d = smallDataset();
@@ -84,32 +77,6 @@ TEST(Dataset, SubsetOutOfRangeIsFatal)
     EXPECT_THROW(d.subset({99}), FatalError);
 }
 
-TEST(Dataset, TrainTestSplitPartitions)
-{
-    const auto d = smallDataset();
-    Rng rng(1);
-    auto [train, test] = d.trainTestSplit(0.25, rng);
-    EXPECT_EQ(test.size(), 1u);
-    EXPECT_EQ(train.size(), 3u);
-    // Targets are disjoint and cover the original set.
-    double total = 0.0;
-    for (std::size_t i = 0; i < train.size(); ++i)
-        total += train.target(i);
-    for (std::size_t i = 0; i < test.size(); ++i)
-        total += test.target(i);
-    EXPECT_DOUBLE_EQ(total, 1000.0);
-}
-
-TEST(Dataset, SplitOutGroup)
-{
-    const auto d = smallDataset();
-    auto [train, test] = d.splitOutGroup("A");
-    EXPECT_EQ(test.size(), 2u);
-    EXPECT_EQ(train.size(), 2u);
-    for (std::size_t i = 0; i < test.size(); ++i)
-        EXPECT_EQ(test.group(i), "A");
-}
-
 TEST(Metrics, MseKnownValue)
 {
     const std::vector<double> truth{1.0, 2.0};
@@ -130,14 +97,6 @@ TEST(Metrics, MeanRelativeError)
     const std::vector<double> truth{10.0, 20.0};
     const std::vector<double> pred{9.0, 24.0};
     EXPECT_DOUBLE_EQ(meanRelativeErrorPercent(truth, pred), 15.0);
-}
-
-TEST(Metrics, R2PerfectAndBaseline)
-{
-    const std::vector<double> truth{1.0, 2.0, 3.0};
-    EXPECT_DOUBLE_EQ(r2Score(truth, truth), 1.0);
-    const std::vector<double> meanPred{2.0, 2.0, 2.0};
-    EXPECT_DOUBLE_EQ(r2Score(truth, meanPred), 0.0);
 }
 
 TEST(Metrics, EmptyInputsSafe)

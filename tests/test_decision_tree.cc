@@ -150,7 +150,6 @@ TEST(DecisionTree, PredictRejectsSampleOfWrongWidth)
         EXPECT_THROW(tree.predict(*x), FatalError);
         EXPECT_THROW(tree.predictLeaf(*x), FatalError);
         EXPECT_THROW(tree.decisionPath(*x), FatalError);
-        EXPECT_THROW(tree.featureUsageCounts(*x), FatalError);
     }
     EXPECT_THROW(tree.predictLeaf(std::vector<double>{}), FatalError);
 }
@@ -196,21 +195,6 @@ TEST(DecisionTree, DecisionPathConsistentWithPrediction)
     }
 }
 
-TEST(DecisionTree, FeatureUsageCountsMatchPath)
-{
-    DecisionTreeRegressor tree;
-    tree.fit(stepDataset());
-    const std::vector<double> x{12.0, 0.5};
-    const auto counts = tree.featureUsageCounts(x);
-    const auto path = tree.decisionPath(x);
-    int total = 0;
-    for (int c : counts)
-        total += c;
-    EXPECT_EQ(total, static_cast<int>(path.size()));
-    EXPECT_EQ(counts.size(), 2u);
-    EXPECT_EQ(counts[1], 0);  // x1 is uninformative
-}
-
 TEST(DecisionTree, ImportancesSumToOneAndFavorSignal)
 {
     DecisionTreeRegressor tree;
@@ -221,16 +205,13 @@ TEST(DecisionTree, ImportancesSumToOneAndFavorSignal)
     EXPECT_GT(imp[0], 0.99);
 }
 
-TEST(DecisionTree, TextAndDotExports)
+TEST(DecisionTree, TextExport)
 {
     DecisionTreeRegressor tree;
     tree.fit(stepDataset());
     const std::string text = tree.toText();
     EXPECT_NE(text.find("x0"), std::string::npos);
     EXPECT_NE(text.find("leaf"), std::string::npos);
-    const std::string dot = tree.toDot();
-    EXPECT_NE(dot.find("digraph"), std::string::npos);
-    EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
 /** Property sweep: training error decreases (weakly) with depth. */

@@ -231,7 +231,7 @@ TEST(CampaignInference, PredictorBatchLengthsMatchPerRow)
 
 /** Batched scheduler scoring must pick the same pairings as per-bag
  * prediction. */
-TEST(CampaignInference, SchedulerBatchedScoringMatchesPredictBag)
+TEST(CampaignInference, SchedulerBatchedScoringMatchesOneRowPredict)
 {
     predictor::DataCollector collector;
     const auto points = collector.collectAll(
@@ -251,8 +251,12 @@ TEST(CampaignInference, SchedulerBatchedScoringMatchesPredictBag)
         const auto schedule = scheduler.schedule(jobs, policy);
         double total = 0.0;
         for (const auto& bag : schedule.bags) {
+            // The one-row prediction of the canonical bag.
+            const predictor::BagSpec spec = bag.spec.canonical();
             EXPECT_EQ(bag.predictedSeconds,
-                      scheduler.predictBag(bag.spec));
+                      model.predict(collector.appFeatures(spec.a),
+                                    collector.appFeatures(spec.b),
+                                    collector.measureFairness(spec)));
             total += bag.predictedSeconds;
         }
         if (schedule.leftover)

@@ -609,13 +609,11 @@ TEST(Tracer, ChromeTraceJsonRoundTrips)
          obs::TraceArg::num("phase_index", 3.0)});
     tracer.instantEvent("re-partition", "gpusim.partition", 42.5, pid, 0,
                         {obs::TraceArg::num("residents", 2.0)});
-    tracer.counterEvent("bandwidth", 50.0, pid,
-                        {obs::TraceArg::num("gbps", 123.5)});
 
     const std::string json = tracer.chromeTraceJson();
     const JsonValue doc = JsonParser(json).parse();
     const auto& events = doc.at("traceEvents").items;
-    ASSERT_EQ(events.size(), 5u);
+    ASSERT_EQ(events.size(), 4u);
 
     // Every event has the Chrome-trace required fields.
     for (const auto& e : events) {

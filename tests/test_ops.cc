@@ -127,16 +127,6 @@ TEST(Ops, IntegralMatchesDirectConstruction)
     EXPECT_NEAR(a.boxSum(1, 1, 5, 3), b.boxSum(1, 1, 5, 3), 1e-9);
 }
 
-TEST(Ops, HistogramCountsAndClamps)
-{
-    const std::vector<float> values{0.5f, 1.5f, 1.6f, 9.9f, -5.0f, 42.0f};
-    const auto h = ops::histogram(values, 10, 0.0f, 10.0f);
-    ASSERT_EQ(h.size(), 10u);
-    EXPECT_DOUBLE_EQ(h[0], 2.0);  // 0.5 and clamped -5.0
-    EXPECT_DOUBLE_EQ(h[1], 2.0);
-    EXPECT_DOUBLE_EQ(h[9], 2.0);  // 9.9 and clamped 42
-}
-
 TEST(Ops, NonMaxSuppressFindsIsolatedPeak)
 {
     Image resp(9, 9, 0.0f);
@@ -156,13 +146,6 @@ TEST(Ops, NonMaxSuppressRejectsNeighbors)
     EXPECT_EQ(maxima[0].first, 4);
 }
 
-TEST(Ops, DotMatchesManualComputation)
-{
-    const std::vector<float> a{1.0f, 2.0f, 3.0f};
-    const std::vector<float> b{4.0f, 5.0f, 6.0f};
-    EXPECT_DOUBLE_EQ(ops::dot(a, b), 32.0);
-}
-
 TEST(Ops, DistanceMatrixValues)
 {
     const std::vector<Descriptor> a{{0.0f, 0.0f}, {1.0f, 1.0f}};
@@ -171,29 +154,6 @@ TEST(Ops, DistanceMatrixValues)
     ASSERT_EQ(d.size(), 2u);
     EXPECT_DOUBLE_EQ(d[0], 1.0);
     EXPECT_DOUBLE_EQ(d[1], 1.0);
-}
-
-TEST(Ops, TopKSmallestOrdersResults)
-{
-    const std::vector<double> v{5.0, 1.0, 3.0, 0.5, 4.0};
-    const auto idx = ops::topKSmallest(v, 3);
-    ASSERT_EQ(idx.size(), 3u);
-    EXPECT_EQ(idx[0], 3);
-    EXPECT_EQ(idx[1], 1);
-    EXPECT_EQ(idx[2], 2);
-}
-
-TEST(Ops, TopKClampsToSize)
-{
-    const std::vector<double> v{2.0, 1.0};
-    EXPECT_EQ(ops::topKSmallest(v, 10).size(), 2u);
-}
-
-TEST(Ops, HammingDistanceCountsBits)
-{
-    const BinaryDescriptor a{0b1010, 0xFF};
-    const BinaryDescriptor b{0b0110, 0x00};
-    EXPECT_EQ(ops::hammingDistance(a, b), 2 + 8);
 }
 
 TEST(Ops, CopyImageIsExactAndStaged)

@@ -68,18 +68,6 @@ TEST_P(AreaScaling, SobelCountsScaleWithArea)
 INSTANTIATE_TEST_SUITE_P(Sizes, AreaScaling,
                          ::testing::Values(48, 64, 96, 128));
 
-TEST(OpScaling, DotCountsScaleWithLength)
-{
-    std::vector<float> a(256, 1.0f);
-    std::vector<float> b(256, 2.0f);
-    const auto small = instsOf([&] { ops::dot(a, b); });
-    std::vector<float> a4(1024, 1.0f);
-    std::vector<float> b4(1024, 2.0f);
-    const auto large = instsOf([&] { ops::dot(a4, b4); });
-    EXPECT_NEAR(static_cast<double>(large) / static_cast<double>(small),
-                4.0, 0.5);
-}
-
 TEST(OpScaling, DistanceMatrixCountsScaleWithPairs)
 {
     const std::vector<Descriptor> a8(8, Descriptor(16, 1.0f));

@@ -20,7 +20,6 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
 #include "ml/random_forest.h"
 #include "obs/metrics.h"
@@ -114,6 +113,28 @@ TEST(ParallelFor, SerialFallbackPropagatesExceptionsToo)
                  std::runtime_error);
 }
 
+TEST(ParallelFor, EveryIterationRunsBeforeTheFirstThrowIsRethrown)
+{
+    // The inline path (one lane, or n == 1) must keep the pooled
+    // path's contract: the remaining iterations still run.
+    for (const int threads : {1, 4}) {
+        const ThreadScope scope(threads);
+        for (const std::size_t n : {std::size_t{1}, std::size_t{64}}) {
+            std::atomic<std::size_t> ran{0};
+            EXPECT_THROW(parallel::parallelFor(
+                             n,
+                             [&](std::size_t i) {
+                                 ran.fetch_add(1);
+                                 if (i % 2 == 0)
+                                     throw std::runtime_error("even");
+                             }),
+                         std::runtime_error)
+                << threads << " lanes, n = " << n;
+            EXPECT_EQ(ran.load(), n) << threads << " lanes, n = " << n;
+        }
+    }
+}
+
 TEST(ParallelMap, PreservesOrdering)
 {
     const ThreadScope scope(4);
@@ -192,8 +213,7 @@ TEST(PhasePath, ParallelForBodiesNestUnderTheCallerAtAnyLaneCount)
                 const obs::ScopedPhase inner("inner");
             });
             // A throwing body unwinds its phases on whichever lane
-            // ran it; the caller's path survives the rethrow. Only the
-            // last index throws, so the serial loop runs all 8 too.
+            // ran it; the caller's path survives the rethrow.
             const auto failing = [](std::size_t i) {
                 const obs::ScopedPhase phase("failing");
                 if (i == 7)
@@ -274,17 +294,14 @@ TEST(SerialVsParallel, CampaignDatasetsAreBitIdentical)
 TEST(SerialVsParallel, LoocvFoldErrorsAreBitIdentical)
 {
     const ml::Dataset data = collectMini(1);
-    const ml::FitPredictFn fitPredict =
-        [](const ml::Dataset& train, const ml::Dataset& test) {
-            ml::DecisionTreeRegressor tree;
-            tree.fit(train);
-            return tree.predict(test);
-        };
+    const std::vector<std::string> benchmarks{"FAST", "ORB", "HoG"};
 
     parallel::setMaxThreads(1);
-    const auto serial = ml::leaveOneGroupOut(data, fitPredict);
+    const auto serial =
+        predictor::MultiAppPredictor::looBenchmarkCv(data, {}, benchmarks);
     parallel::setMaxThreads(4);
-    const auto threaded = ml::leaveOneGroupOut(data, fitPredict);
+    const auto threaded =
+        predictor::MultiAppPredictor::looBenchmarkCv(data, {}, benchmarks);
     parallel::setMaxThreads(0);
 
     ASSERT_EQ(serial.folds.size(), threaded.folds.size());

@@ -165,16 +165,6 @@ TEST(Predictor, FullSchemeBeatsInsmixOnLoocv)
     EXPECT_LT(fullErr * 1.5, insmixErr);
 }
 
-TEST(Predictor, HoldoutErrorIsFinite)
-{
-    const auto raw = toDataset(miniCampaign());
-    Rng rng(123);
-    const double err = MultiAppPredictor::holdoutRelativeError(
-        raw, PredictorParams{}, 0.2, rng);
-    EXPECT_GE(err, 0.0);
-    EXPECT_LT(err, 500.0);
-}
-
 TEST(DecisionAnalysis, CoversAllTestPointsAndFeatures)
 {
     const auto raw = toDataset(miniCampaign());

@@ -28,7 +28,7 @@ linearData(std::uint64_t seed, double noise = 0.0, int n = 40)
         const double a = rng.uniform(-1.0, 1.0);
         const double b = rng.uniform(-1.0, 1.0);
         d.addRow({a, b},
-                 2.0 * a - 3.0 * b + 1.0 + rng.normal(0.0, noise), "g");
+                 2.0 * a - 3.0 * b + 1.0 + noise * rng.normal(), "g");
     }
     return d;
 }
@@ -122,7 +122,6 @@ TEST(Svr, FitsSmoothFunctionInRange)
     SvrRegressor svr(params);
     svr.fit(d);
     EXPECT_TRUE(svr.trained());
-    EXPECT_GT(svr.supportVectorCount(), 0u);
     double err = 0.0;
     for (double x : {-0.8, -0.3, 0.0, 0.4, 0.9})
         err += std::abs(svr.predict(std::vector<double>{x}) -

@@ -317,8 +317,10 @@ TEST(Report, RendersAllSectionsFromSidecars)
     // Prediction JSONL: one annotated high-error record plus one line
     // of garbage that must be skipped, not fatal.
     obs::PredictionLog log(8);
-    log.recordInPlace([](obs::PredictionRecord& r) {
-        r.seq = 3;
+    const std::uint64_t seq = 3;
+    log.recordChunkInPlace({&seq, 1}, [](std::uint64_t id,
+                                         obs::PredictionRecord& r) {
+        r.seq = id;
         r.model.assign("dataset");
         r.features.assign({0.5, 0.25});
         r.predictedSeconds = 2.0;

@@ -109,81 +109,4 @@ TEST(Rng, NormalMomentsApproximatelyStandard)
     EXPECT_NEAR(var, 1.0, 0.05);
 }
 
-TEST(Rng, NormalShiftScale)
-{
-    Rng r(17);
-    const int n = 30000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i)
-        sum += r.normal(10.0, 2.0);
-    EXPECT_NEAR(sum / n, 10.0, 0.1);
-}
-
-TEST(Rng, BernoulliFrequencyMatchesP)
-{
-    Rng r(19);
-    int hits = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        if (r.bernoulli(0.3))
-            ++hits;
-    EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
-}
-
-TEST(Rng, ExponentialMeanIsInverseRate)
-{
-    Rng r(23);
-    const int n = 30000;
-    double sum = 0.0;
-    for (int i = 0; i < n; ++i) {
-        const double v = r.exponential(4.0);
-        EXPECT_GE(v, 0.0);
-        sum += v;
-    }
-    EXPECT_NEAR(sum / n, 0.25, 0.01);
-}
-
-TEST(Rng, LogNormalIsPositive)
-{
-    Rng r(29);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GT(r.logNormal(0.0, 1.0), 0.0);
-}
-
-TEST(Rng, ShufflePreservesElements)
-{
-    Rng r(31);
-    std::vector<int> v(50);
-    std::iota(v.begin(), v.end(), 0);
-    auto sortedCopy = v;
-    r.shuffle(v);
-    EXPECT_FALSE(std::is_sorted(v.begin(), v.end()));  // 50! odds say so
-    std::sort(v.begin(), v.end());
-    EXPECT_EQ(v, sortedCopy);
-}
-
-TEST(Rng, ShuffleDeterministicPerSeed)
-{
-    std::vector<int> a(20);
-    std::vector<int> b(20);
-    std::iota(a.begin(), a.end(), 0);
-    std::iota(b.begin(), b.end(), 0);
-    Rng r1(77);
-    Rng r2(77);
-    r1.shuffle(a);
-    r2.shuffle(b);
-    EXPECT_EQ(a, b);
-}
-
-TEST(Rng, ForkProducesIndependentStream)
-{
-    Rng parent(99);
-    Rng child = parent.fork();
-    int same = 0;
-    for (int i = 0; i < 64; ++i)
-        if (parent.next() == child.next())
-            ++same;
-    EXPECT_LT(same, 2);
-}
-
 }  // namespace

@@ -1,10 +1,8 @@
 /**
  * @file
- * Fault-injection harness for every input boundary: feeds truncated,
- * garbled, and numerically degenerate CSV/trace/dataset inputs to each
- * loader and asserts it fails with a *located* mapp::Error (InputError)
- * instead of crashing, corrupting memory (run under ASan via
- * `ctest -L robustness`), or silently mis-parsing.
+ * Graceful shutdown under a real signal (run under ASan via
+ * `ctest -L robustness`). The binary frame readers' fault injection
+ * lives in test_cache, the request parser's in test_serve.
  */
 
 #include <gtest/gtest.h>
@@ -12,351 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
-#include <cstdio>
-#include <fstream>
-#include <functional>
-#include <string>
 #include <thread>
-#include <typeinfo>
-#include <vector>
 
-#include "common/csv.h"
-#include "common/error.h"
 #include "common/shutdown.h"
-#include "isa/trace_io.h"
-#include "ml/dataset_io.h"
 
 namespace {
 
 using namespace mapp;
-
-// ---------------------------------------------------------------------------
-// Corpus helpers
-
-/** A known-good trace CSV produced by the writer itself. */
-std::string
-validTraceCsv()
-{
-    isa::WorkloadTrace trace("FAULTY", 4);
-    isa::KernelPhase p;
-    p.name = "conv";
-    p.mix.add(isa::InstClass::IntAlu, 100);
-    p.mix.add(isa::InstClass::MemRead, 50);
-    p.bytesRead = 1024;
-    p.bytesWritten = 512;
-    p.footprint = 2048;
-    p.workItems = 64;
-    trace.append(p);
-    isa::KernelPhase q = p;
-    q.name = "hist";
-    trace.append(q);
-    return isa::traceToCsv(trace);
-}
-
-std::string
-validDatasetCsv()
-{
-    return "f_a,f_b,target,group\n"
-           "1.0,2.0,3.0,g1\n"
-           "4.0,5.0,6.0,g2\n";
-}
-
-/** Replace the cell in data row @p row (0-based) under @p column. */
-std::string
-tamperCell(const std::string& csv, std::size_t row,
-           const std::string& column, const std::string& replacement)
-{
-    CsvTable t = parseCsv(csv);
-    const int idx = t.columnIndex(column);
-    EXPECT_GE(idx, 0) << "corpus bug: no column " << column;
-    t.rows.at(row).at(static_cast<std::size_t>(idx)) = replacement;
-    return toCsv(t);
-}
-
-/** The InputError a loader throws for @p text, with crash = test fail. */
-Error
-expectLocatedFailure(const std::function<void(const std::string&)>& load,
-                     const std::string& text, const char* what)
-{
-    try {
-        load(text);
-    } catch (const InputError& e) {
-        return e.error();
-    } catch (const std::exception& e) {
-        ADD_FAILURE() << what << ": escaped as unstructured "
-                      << typeid(e).name() << ": " << e.what();
-        return {ErrorCode::Parse, "unstructured"};
-    }
-    ADD_FAILURE() << what << ": malformed input was accepted";
-    return {ErrorCode::Parse, "accepted"};
-}
-
-// ---------------------------------------------------------------------------
-// Trace loader corpus
-
-const auto kLoadTrace = [](const std::string& text) {
-    (void)isa::traceFromCsv(text, "corpus.csv");
-};
-
-TEST(TraceFaults, EmptyFile)
-{
-    const Error e = expectLocatedFailure(kLoadTrace, "", "empty");
-    EXPECT_EQ(e.code(), ErrorCode::Schema);
-}
-
-TEST(TraceFaults, WrongHeader)
-{
-    const Error e = expectLocatedFailure(
-        kLoadTrace, "alpha,beta\n1,2\n", "wrong header");
-    EXPECT_EQ(e.code(), ErrorCode::Schema);
-    EXPECT_EQ(e.context().file, "corpus.csv");
-}
-
-TEST(TraceFaults, HeaderOnlyNoPhases)
-{
-    const std::string csv = validTraceCsv();
-    const std::string headerOnly = csv.substr(0, csv.find('\n') + 1);
-    const Error e =
-        expectLocatedFailure(kLoadTrace, headerOnly, "no phases");
-    EXPECT_EQ(e.code(), ErrorCode::Schema);
-}
-
-TEST(TraceFaults, TruncatedMidRow)
-{
-    const std::string csv = validTraceCsv();
-    // Cut the last row in half: the final record comes up short.
-    const std::string truncated = csv.substr(0, csv.size() - 20);
-    const Error e =
-        expectLocatedFailure(kLoadTrace, truncated, "truncated");
-    EXPECT_EQ(e.code(), ErrorCode::Schema);
-    EXPECT_EQ(e.context().row, 2u);
-}
-
-TEST(TraceFaults, GarbageCountCell)
-{
-    const Error e = expectLocatedFailure(
-        kLoadTrace, tamperCell(validTraceCsv(), 0, "bytes_read", "12x"),
-        "garbage count");
-    EXPECT_EQ(e.code(), ErrorCode::Parse);
-    EXPECT_EQ(e.context().row, 1u);
-    EXPECT_EQ(e.context().column, "bytes_read");
-}
-
-TEST(TraceFaults, NanFractionCell)
-{
-    const Error e = expectLocatedFailure(
-        kLoadTrace, tamperCell(validTraceCsv(), 1, "parallel", "nan"),
-        "nan cell");
-    EXPECT_EQ(e.code(), ErrorCode::Range);
-    EXPECT_EQ(e.context().row, 2u);
-    EXPECT_EQ(e.context().column, "parallel");
-}
-
-TEST(TraceFaults, NegativeCount)
-{
-    const Error e = expectLocatedFailure(
-        kLoadTrace, tamperCell(validTraceCsv(), 0, "work_items", "-5"),
-        "negative count");
-    EXPECT_EQ(e.code(), ErrorCode::Range);
-}
-
-TEST(TraceFaults, BatchZeroAndOverflow)
-{
-    EXPECT_EQ(expectLocatedFailure(
-                  kLoadTrace, tamperCell(validTraceCsv(), 0, "batch", "0"),
-                  "batch 0")
-                  .code(),
-              ErrorCode::Range);
-    const Error e = expectLocatedFailure(
-        kLoadTrace,
-        tamperCell(validTraceCsv(), 0, "batch", "99999999999999999999"),
-        "batch overflow");
-    EXPECT_EQ(e.code(), ErrorCode::Range);
-    EXPECT_EQ(e.context().column, "batch");
-}
-
-TEST(TraceFaults, BadHostStagedFlag)
-{
-    const Error e = expectLocatedFailure(
-        kLoadTrace, tamperCell(validTraceCsv(), 0, "host_staged", "yes"),
-        "bad host_staged");
-    EXPECT_EQ(e.code(), ErrorCode::Parse);
-    EXPECT_EQ(e.context().column, "host_staged");
-}
-
-TEST(TraceFaults, PhaseValidationFailureIsLocated)
-{
-    // locality=2.0 parses fine but violates the phase invariant; the
-    // loader must relocate the validation error to the offending row.
-    const Error e = expectLocatedFailure(
-        kLoadTrace, tamperCell(validTraceCsv(), 1, "locality", "2.0"),
-        "invalid phase");
-    EXPECT_EQ(e.code(), ErrorCode::Range);
-    EXPECT_EQ(e.context().row, 2u);
-}
-
-TEST(TraceFaults, ValidCorpusStillLoads)
-{
-    const auto trace = isa::traceFromCsv(validTraceCsv());
-    EXPECT_EQ(trace.app(), "FAULTY");
-    EXPECT_EQ(trace.size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Dataset loader corpus
-
-const auto kLoadDataset = [](const std::string& text) {
-    (void)ml::datasetFromCsv(text, "corpus.csv");
-};
-
-TEST(DatasetFaults, EmptyAndWrongHeader)
-{
-    EXPECT_EQ(expectLocatedFailure(kLoadDataset, "", "empty").code(),
-              ErrorCode::Schema);
-    EXPECT_EQ(expectLocatedFailure(kLoadDataset, "a,b,c\n1,2,3\n",
-                                   "no target/group")
-                  .code(),
-              ErrorCode::Schema);
-}
-
-TEST(DatasetFaults, GarbageFeatureCell)
-{
-    const Error e = expectLocatedFailure(
-        kLoadDataset, tamperCell(validDatasetCsv(), 1, "f_b", "5.0abc"),
-        "garbage cell");
-    EXPECT_EQ(e.code(), ErrorCode::Parse);
-    EXPECT_EQ(e.context().row, 2u);
-    EXPECT_EQ(e.context().column, "f_b");
-}
-
-TEST(DatasetFaults, NonFiniteCellsRejected)
-{
-    for (const char* bad : {"nan", "inf", "-inf", "1e999"}) {
-        const Error e = expectLocatedFailure(
-            kLoadDataset, tamperCell(validDatasetCsv(), 0, "f_a", bad),
-            bad);
-        EXPECT_EQ(e.code(), ErrorCode::Range) << bad;
-    }
-    const Error e = expectLocatedFailure(
-        kLoadDataset, tamperCell(validDatasetCsv(), 0, "target", "nan"),
-        "nan target");
-    EXPECT_EQ(e.context().column, "target");
-}
-
-TEST(DatasetFaults, ShortRow)
-{
-    const Error e = expectLocatedFailure(
-        kLoadDataset, "f_a,f_b,target,group\n1.0,2.0\n", "short row");
-    EXPECT_EQ(e.code(), ErrorCode::Schema);
-    EXPECT_EQ(e.context().row, 1u);
-}
-
-TEST(DatasetFaults, ValidCorpusStillLoads)
-{
-    const auto data = ml::datasetFromCsv(validDatasetCsv());
-    EXPECT_EQ(data.size(), 2u);
-    EXPECT_DOUBLE_EQ(data.target(1), 6.0);
-}
-
-// ---------------------------------------------------------------------------
-// File-level I/O faults
-
-class RobustnessFiles : public ::testing::Test
-{
-  protected:
-    std::string
-    writeTemp(const std::string& name, const std::string& text)
-    {
-        const std::string path =
-            ::testing::TempDir() + "mapp_robustness_" + name;
-        std::ofstream out(path, std::ios::binary);
-        out << text;
-        paths_.push_back(path);
-        return path;
-    }
-
-    void TearDown() override
-    {
-        for (const auto& p : paths_)
-            std::remove(p.c_str());
-    }
-
-    std::vector<std::string> paths_;
-};
-
-TEST_F(RobustnessFiles, MissingFilesRaiseIoErrors)
-{
-    const char* missing = "/nonexistent/mapp/input.csv";
-    EXPECT_THROW(readCsvFile(missing), InputError);
-    EXPECT_THROW(isa::readTraceFile(missing), InputError);
-    EXPECT_THROW(ml::readDatasetFile(missing), InputError);
-}
-
-TEST_F(RobustnessFiles, ErrorsNameTheFile)
-{
-    const auto path =
-        writeTemp("garbled_trace.csv",
-                  tamperCell(validTraceCsv(), 0, "footprint", "oops"));
-    try {
-        (void)isa::readTraceFile(path);
-        FAIL() << "garbled trace accepted";
-    } catch (const InputError& e) {
-        EXPECT_EQ(e.error().context().file, path);
-        EXPECT_EQ(e.error().context().column, "footprint");
-        EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
-    }
-}
-
-TEST_F(RobustnessFiles, TruncatedDatasetFileIsLocated)
-{
-    const std::string whole = validDatasetCsv();
-    const auto path = writeTemp("truncated_dataset.csv",
-                                whole.substr(0, whole.size() - 8));
-    try {
-        (void)ml::readDatasetFile(path);
-        FAIL() << "truncated dataset accepted";
-    } catch (const InputError& e) {
-        EXPECT_EQ(e.error().context().file, path);
-    }
-}
-
-TEST_F(RobustnessFiles, NumericColumnLocatesFileRowAndColumn)
-{
-    const auto path = writeTemp("bad_column.csv", "x,y\n1.5,a\n2.0,b\n");
-    const CsvTable t = readCsvFile(path);
-    EXPECT_EQ(t.source, path);
-    try {
-        (void)t.numericColumn("y");
-        FAIL() << "garbage column accepted";
-    } catch (const InputError& e) {
-        EXPECT_EQ(e.error().context().file, path);
-        EXPECT_EQ(e.error().context().row, 1u);
-        EXPECT_EQ(e.error().context().column, "y");
-    }
-}
-
-TEST_F(RobustnessFiles, RoundTripsSurviveTheHardening)
-{
-    // The strict loaders must still accept everything the writers emit.
-    const auto tracePath = writeTemp("roundtrip_trace.csv", "");
-    isa::WorkloadTrace trace("RT", 2);
-    isa::KernelPhase p;
-    p.name = "k";
-    p.mix.add(isa::InstClass::FpAlu, 7);
-    trace.append(p);
-    isa::writeTraceFile(trace, tracePath);
-    const auto back = isa::readTraceFile(tracePath);
-    EXPECT_EQ(back.app(), "RT");
-    EXPECT_EQ(back.batchSize(), 2);
-
-    const auto dataPath = writeTemp("roundtrip_dataset.csv", "");
-    ml::Dataset data({"f"});
-    data.addRow({0.125}, 4.5, "g");
-    ml::writeDatasetFile(data, dataPath);
-    const auto dataBack = ml::readDatasetFile(dataPath);
-    ASSERT_EQ(dataBack.size(), 1u);
-    EXPECT_DOUBLE_EQ(dataBack.row(0)[0], 0.125);
-}
 
 // ---------------------------------------------------------------------------
 // Graceful-shutdown plumbing. One real SIGINT travels the whole path:

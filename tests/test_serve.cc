@@ -658,6 +658,58 @@ struct SocketClient
     }
 };
 
+/** Open file descriptors of this process. */
+std::size_t
+openFdCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+TEST(ServeSocket, FinishedConnectionsReleaseTheirFds)
+{
+    const auto model = trainModel(93);
+    PredictionService service(model, nullptr, ServiceOptions{});
+    predictor::DataCollector collector;
+    serve::Server server(service, collector);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("mapp_serve_fds_" + std::to_string(::getpid()) + ".sock"))
+            .string();
+    std::thread serverThread([&] { server.serveSocket(path); });
+    for (int i = 0;
+         i < 500 && !std::filesystem::exists(path); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(std::filesystem::exists(path));
+    const std::size_t before = openFdCount();
+
+    // Sequential clients: each connects, pings and hangs up.
+    constexpr int kClients = 64;
+    for (int c = 0; c < kClients; ++c) {
+        SocketClient client(path);
+        ASSERT_GE(client.fd, 0) << "client " << c;
+        ASSERT_TRUE(client.send(R"({"op":"ping","id":"p"})"));
+        ASSERT_EQ(client.readLines(1).size(), 1u) << "client " << c;
+    }
+    // One more accept reaps every connection whose reader has seen
+    // its client hang up; only the last few may still be open.
+    {
+        SocketClient client(path);
+        ASSERT_GE(client.fd, 0);
+        ASSERT_TRUE(client.send(R"({"op":"ping","id":"p"})"));
+        ASSERT_EQ(client.readLines(1).size(), 1u);
+        EXPECT_LE(openFdCount(), before + 6)
+            << "finished connections keep their fds open";
+    }
+
+    server.requestStop();
+    serverThread.join();
+}
+
 TEST(ServeSocket, ConcurrentClientsThenGracefulShutdown)
 {
     const auto model = trainModel(91);

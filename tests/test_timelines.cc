@@ -47,35 +47,11 @@ TEST(GpuTimeline, StagedPhasesHaveNoSmWork)
     EXPECT_TRUE(sawStaged);  // image_copy phases exist
 }
 
-TEST(CpuTimeline, OneEntryPerPhaseWithBreakdown)
-{
-    const auto& trace =
-        vision::cachedTrace(vision::BenchmarkId::Surf, 20);
-    cpusim::MulticoreSim sim;
-    const auto phases = sim.timeline(trace, 8);
-    ASSERT_EQ(phases.size(), trace.size());
-    for (const auto& t : phases) {
-        EXPECT_GT(t.time, 0.0);
-        EXPECT_GT(t.computeCycles, 0.0);
-        EXPECT_GE(t.llcMissRate, 0.0);
-        EXPECT_LE(t.llcMissRate, 1.0);
-        EXPECT_GE(t.effectiveParallelism, 0.25);
-    }
-}
-
-TEST(CpuTimeline, MoreThreadsShrinkParallelPhases)
+TEST(CpuAlone, MoreThreadsShrinkParallelPhases)
 {
     const auto& trace = vision::cachedTrace(vision::BenchmarkId::Hog, 20);
     cpusim::MulticoreSim sim;
-    const auto t1 = sim.timeline(trace, 1);
-    const auto t16 = sim.timeline(trace, 16);
-    double sum1 = 0.0;
-    double sum16 = 0.0;
-    for (std::size_t i = 0; i < t1.size(); ++i) {
-        sum1 += t1[i].time;
-        sum16 += t16[i].time;
-    }
-    EXPECT_LT(sum16, sum1);
+    EXPECT_LT(sim.runAlone(trace, 16).time, sim.runAlone(trace, 1).time);
 }
 
 TEST(Log, LevelsControlInform)
@@ -88,6 +64,18 @@ TEST(Log, LevelsControlInform)
     setLogLevel(LogLevel::Verbose);
     EXPECT_NO_THROW(verbose("printed"));
     setLogLevel(before);
+}
+
+TEST(Log, EachLevelWritesItsOwnPrefix)
+{
+    const LogLevel before = logLevel();
+    setLogLevel(LogLevel::Debug);
+    ::testing::internal::CaptureStderr();
+    verbose("v-line");
+    debug("d-line");
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    setLogLevel(before);
+    EXPECT_EQ(err, "verbose: v-line\ndebug: d-line\n");
 }
 
 TEST(Log, FatalThrowsWithMessage)

@@ -58,19 +58,10 @@ TEST(KernelPhase, ValidateRejectsEmptyWork)
     EXPECT_THROW(empty.validate(), mapp::FatalError);
 }
 
-TEST(KernelPhase, TrafficAndIntensity)
+TEST(KernelPhase, TrafficSumsReadsAndWrites)
 {
     const auto p = makePhase("x", 10, 5);
     EXPECT_EQ(p.traffic(), 25u);
-    EXPECT_DOUBLE_EQ(p.arithmeticIntensity(), 15.0 / 25.0);
-}
-
-TEST(KernelPhase, IntensityWithZeroTraffic)
-{
-    KernelPhase p;
-    p.name = "compute_only";
-    p.mix.add(InstClass::FpAlu, 42);
-    EXPECT_DOUBLE_EQ(p.arithmeticIntensity(), 42.0);
 }
 
 TEST(WorkloadTrace, AppendValidatesPhases)
